@@ -37,9 +37,9 @@ Outcome measure(Cluster& cluster, LoadClient* client, const WindowedCounter& ser
   Outcome out;
   out.steady = series.average_rate(5 * kSecond, 15 * kSecond);
   for (Tick t = kReconfigAt; t < kEnd; t += kSecond) {
-    const auto idx = static_cast<size_t>(t / kSecond);
-    const double rate = idx < series.size() ? series.rate_at(idx) : 0.0;
-    if (rate < out.steady * 0.1) ++out.downtime_seconds;
+    if (series.rate_at(static_cast<size_t>(t / kSecond)) < out.steady * 0.1) {
+      ++out.downtime_seconds;
+    }
   }
   out.completed = client->completed();
   (void)cluster;
@@ -114,18 +114,18 @@ Outcome run_static() {
   active = s2;
   // New replica processes come up on the new stream after the restart
   // window (process restart + log recovery; no Elastic protocol).
-  WindowedCounter* new_series = nullptr;
+  const WindowedCounter* new_series = nullptr;
   elastic::Replica::Config rcfg2 = rcfg;
   rcfg2.initial_streams = {s2};
   cluster.sim().schedule_after(kRestartWindow, [&cluster, rcfg2, &new_series] {
     auto* n1 = cluster.add_replica(rcfg2);
     cluster.add_replica(rcfg2);
-    new_series = const_cast<WindowedCounter*>(&n1->delivery_series());
+    new_series = &n1->delivery_series();
   });
   cluster.run_until(kEnd);
 
   // Stitch the two delivery series for downtime accounting.
-  WindowedCounter stitched(kSecond);
+  WindowedCounter stitched;
   const auto& before = r1->delivery_series();
   for (size_t i = 0; i < before.size(); ++i) {
     if (before.count_at(i) > 0) {

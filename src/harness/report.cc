@@ -41,10 +41,9 @@ std::string render_rate_table(const obs::MetricsRegistry& metrics,
     appendf(&out, "%6lld", static_cast<long long>(t / kSecond));
     for (const auto& c : columns) {
       const obs::Counter* counter = metrics.find_counter(c.metric);
-      const auto idx = static_cast<size_t>(t / kSecond);
-      const double rate = (counter != nullptr && idx < counter->series().size())
-                              ? counter->series().rate_at(idx)
-                              : 0.0;
+      const double rate =
+          counter != nullptr ? counter->series().rate_at(static_cast<size_t>(t / kSecond))
+                             : 0.0;
       appendf(&out, " %12.1f", rate * c.scale);
     }
     out += '\n';
@@ -157,7 +156,7 @@ void print_phase_averages(const obs::MetricsRegistry& metrics, const std::string
                           const std::vector<Tick>& boundaries, Tick end) {
   print_header(title);
   const obs::Counter* counter = metrics.find_counter(metric);
-  static const WindowedCounter kEmpty(kSecond);
+  static const WindowedCounter kEmpty;
   const auto phases =
       phase_averages(counter != nullptr ? counter->series() : kEmpty, boundaries, end);
   for (size_t i = 0; i < phases.size(); ++i) {

@@ -102,7 +102,6 @@ void KvClient::issue(size_t thread_index) {
   t.op = make_op();
   t.sent_at = now();
   t.shards_received.clear();
-  t.partial.clear();
   t.shards_expected = t.op.is_multi_partition() ? std::max<size_t>(map_.partition_count(), 1) : 1;
   t.done = false;
 
@@ -188,9 +187,6 @@ void KvClient::on_message(NodeId from, const MessagePtr& msg) {
 
   if (t.op.is_multi_partition()) {
     if (!t.shards_received.insert(static_cast<uint32_t>(reply.shard)).second) return;
-    if (reply.payload) {
-      for (auto& pair : decode_pairs(*reply.payload)) t.partial.push_back(std::move(pair));
-    }
     if (t.shards_received.size() < t.shards_expected) return;  // waiting for more shards
   }
   inflight_.erase(reply.command_id);

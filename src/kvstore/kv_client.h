@@ -8,8 +8,9 @@
 // the ~1 s re-partitioning gap of Fig. 4.
 //
 // getrange operations are multicast to the shared stream and complete
-// when a partial result has arrived from every partition in the current
-// map; the client assembles the full range.
+// once one reply has arrived from every partition in the current map.
+// The client counts replies per partition; it does not keep the returned
+// pairs.
 #pragma once
 
 #include <unordered_map>
@@ -86,7 +87,6 @@ class KvClient : public sim::Process {
     Tick sent_at = 0;
     std::unordered_set<uint32_t> shards_received;  // getrange partials
     size_t shards_expected = 1;
-    std::vector<std::pair<std::string, std::string>> partial;
     bool done = true;
   };
 

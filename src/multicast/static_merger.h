@@ -1,12 +1,12 @@
 // StaticMerger: the deterministic merge of classic (non-elastic)
 // Multi-Ring Paxos — subscriptions are fixed at construction.
 //
-// Serves two roles in this repo:
-//   * the baseline against which Elastic Paxos is compared (changing
-//     subscriptions requires stopping the system, exactly the limitation
-//     the paper removes — see bench/ablation_static_vs_elastic), and
-//   * the reference implementation of lock-step round-robin delivery,
-//     property-tested on its own before the elastic machinery is added.
+// It is the reference implementation of lock-step round-robin delivery,
+// property-tested on its own before the elastic machinery is added.
+// Changing its subscriptions requires stopping the system, exactly the
+// limitation the paper removes. bench/ablation_static_vs_elastic does not
+// run this class: it models the static baseline as a crash of every
+// replica plus fresh replicas on the new subscription set.
 //
 // Delivery order is lexicographic in (slot index, stream id): one slot
 // is consumed from every stream per round, streams visited in ascending

@@ -66,43 +66,6 @@ const Timer* MetricsRegistry::find_timer(std::string_view key) const {
   return it == timers_.end() ? nullptr : it->second.get();
 }
 
-Histogram& Timer::window_slot(size_t idx) {
-  if (ring_.empty()) {
-    // First record: retention starts at window 0 (early quiet windows
-    // read as zero-filled, like the old dense vector) unless the run is
-    // already past the ring's reach, in which case it starts at idx.
-    first_ = last_ = idx >= cap_ ? idx : 0;
-    head_ = 0;
-    ring_.emplace_back();
-  }
-  if (idx < first_) {
-    // Older than retention. Simulated time is monotone per owning
-    // shard, so this is a theoretical path; fold the sample into the
-    // oldest retained window rather than losing it.
-    return ring_[head_];
-  }
-  if (idx > last_ && idx - last_ > cap_) {
-    // Jumped farther than the ring spans: every retained window ages
-    // out at once. Reuse the allocated slots; retention restarts at idx.
-    for (Histogram& h : ring_) h = Histogram();
-    first_ = last_ = idx;
-    head_ = 0;
-    return ring_[0];
-  }
-  while (last_ < idx) {
-    if (ring_.size() < cap_) {
-      ring_.emplace_back();  // head_ == 0 while growing: slots linear
-      ++last_;
-    } else {
-      ring_[head_] = Histogram();  // evict the oldest, reuse its slot
-      head_ = (head_ + 1) % cap_;
-      ++first_;
-      ++last_;
-    }
-  }
-  return ring_[(head_ + (idx - first_)) % ring_.size()];
-}
-
 namespace {
 
 void append_json_string(std::string& out, std::string_view s) {

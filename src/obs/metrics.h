@@ -12,6 +12,12 @@
 //   * Timer   — latency distribution: one cumulative histogram plus
 //     per-second window histograms (the p95-over-time panels).
 //
+// Counter and Timer keep their per-window history in one bounded
+// WindowRing (util/timeseries.h): 1 s windows, the newest 1024 retained
+// (~17 virtual minutes), older windows read as empty. Finding the current
+// window costs two compares (no division); totals cover every sample over
+// any horizon, and memory stays bounded however long the run.
+//
 // Metrics are OWNED by the registry; roles hold stable handles. A role
 // that dies at run time (an elastic unsubscribe destroys its learner)
 // leaves its metrics behind, so report code can never dereference freed
@@ -50,8 +56,6 @@ std::string metric_key(std::string_view name, Labels labels);
 /// Monotonic event counter with a per-second windowed series.
 class Counter {
  public:
-  explicit Counter(Tick window = kSecond) : series_(window) {}
-
   void add(Tick now, uint64_t count = 1) { series_.add(now, count); }
 
   uint64_t total() const { return series_.total(); }
@@ -79,58 +83,29 @@ class Gauge {
 };
 
 /// Latency recorder: cumulative histogram + per-window histograms held
-/// in a bounded ring. The ring keeps the most recent `max_windows`
-/// window slots (default 1024 — ~17 virtual minutes at the 1 s default
-/// width), so a timer's footprint is bounded no matter how long the run;
-/// the old dense vector grew one ~8 KB histogram per elapsed window
-/// forever. Windows that aged out of the ring — or were skipped by a
-/// time jump wider than it — read as absent (window_at() == nullptr),
-/// which every consumer treats the same as an empty window.
+/// in the same bounded WindowRing as Counter's series.
 class Timer {
  public:
-  static constexpr size_t kDefaultMaxWindows = 1024;
-
-  explicit Timer(Tick window = kSecond,
-                 size_t max_windows = kDefaultMaxWindows)
-      : window_(window), cap_(max_windows == 0 ? 1 : max_windows) {}
-
   void record(Tick now, Tick value) {
     total_.record(value);
-    window_slot(static_cast<size_t>(now / window_)).record(value);
+    windows_.at(now).record(value);
   }
 
   const Histogram& total() const { return total_; }
-  Tick window() const { return window_; }
+  Tick window() const { return WindowRing<Histogram>::kWidth; }
 
   /// One past the newest window index started so far (0 before the
   /// first record) — the bound report loops iterate to.
-  size_t window_count() const { return ring_.empty() ? 0 : last_ + 1; }
-  /// Oldest window index still retained in the ring.
-  size_t first_retained() const { return first_; }
-  size_t max_windows() const { return cap_; }
+  size_t window_count() const { return windows_.size(); }
 
   /// Histogram for window `idx`, or nullptr when the window aged out of
   /// the ring or lies beyond the newest recorded window. Callers treat
   /// nullptr as an empty window.
-  const Histogram* window_at(size_t idx) const {
-    if (ring_.empty() || idx < first_ || idx > last_) return nullptr;
-    return &ring_[(head_ + (idx - first_)) % ring_.size()];
-  }
+  const Histogram* window_at(size_t idx) const { return windows_.find(idx); }
 
  private:
-  Histogram& window_slot(size_t idx);
-
-  Tick window_;
-  size_t cap_;
   Histogram total_;
-  /// Slots for windows [first_, last_]; ring_[head_] holds first_'s
-  /// histogram. Growth is append-only while ring_.size() < cap_, during
-  /// which head_ stays 0 (slots are linear, no wraparound); only a full
-  /// ring rotates.
-  std::vector<Histogram> ring_;
-  size_t first_ = 0;
-  size_t last_ = 0;
-  size_t head_ = 0;
+  WindowRing<Histogram> windows_;
 };
 
 class MetricsRegistry {

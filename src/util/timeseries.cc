@@ -4,47 +4,26 @@
 
 namespace epx {
 
-void WindowedCounter::add_slow(Tick now, uint64_t count) {
-  if (now < 0) now = 0;
-  const auto idx = static_cast<size_t>(now / window_);
-  if (idx >= counts_.size()) counts_.resize(idx + 1, 0);
-  counts_[idx] += count;
-  total_ += count;
-  cur_idx_ = idx;
-  cur_start_ = static_cast<Tick>(idx) * window_;
-  cur_end_ = cur_start_ + window_;
-}
-
 double WindowedCounter::rate_at(size_t i) const {
-  return static_cast<double>(counts_[i]) / to_seconds(window_);
+  return static_cast<double>(count_at(i)) / to_seconds(window());
 }
 
 uint64_t WindowedCounter::total_in(Tick from, Tick to) const {
+  // Window i starts at i * width; sum the windows whose start lies in
+  // [from, to), i.e. i in [ceil(from / width), ceil(to / width)).
+  const Tick width = window();
+  const auto first_at_or_after = [width](Tick t) -> size_t {
+    return t <= 0 ? 0 : static_cast<size_t>(t / width + (t % width != 0 ? 1 : 0));
+  };
+  const size_t end = std::min(first_at_or_after(to), size());
   uint64_t sum = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const Tick start = window_start(i);
-    if (start >= from && start < to) sum += counts_[i];
-  }
+  for (size_t i = first_at_or_after(from); i < end; ++i) sum += count_at(i);
   return sum;
 }
 
 double WindowedCounter::average_rate(Tick from, Tick to) const {
   if (to <= from) return 0.0;
   return static_cast<double>(total_in(from, to)) / to_seconds(to - from);
-}
-
-void GaugeSeries::sample(Tick now, double value) { samples_.push_back({now, value}); }
-
-double GaugeSeries::average_in(Tick from, Tick to) const {
-  double sum = 0.0;
-  size_t n = 0;
-  for (const auto& s : samples_) {
-    if (s.time >= from && s.time < to) {
-      sum += s.value;
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
 }
 
 std::vector<PhaseAverage> phase_averages(const WindowedCounter& counter,

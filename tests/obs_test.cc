@@ -124,32 +124,72 @@ TEST(TimerTest, SparseWindowsAreZeroFilled) {
   EXPECT_EQ(t.window_at(4), nullptr);
 }
 
-TEST(TimerTest, RingBoundsWindowsOverLongHorizons) {
-  // An 8-slot ring recording across 100 windows: only the newest 8 stay
-  // resident, everything older reads as absent, and totals still cover
-  // every sample. This is the memory bound for long-horizon runs — the
-  // ring never grows past max_windows no matter how far time advances.
-  obs::Timer t(kSecond, /*max_windows=*/8);
-  for (size_t w = 0; w < 100; ++w) {
-    t.record(w * kSecond + 5, 2 * kMillisecond);
-  }
-  EXPECT_EQ(t.window_count(), 100u);
-  EXPECT_EQ(t.first_retained(), 92u);
-  EXPECT_EQ(t.window_at(91), nullptr);
-  ASSERT_NE(t.window_at(92), nullptr);
-  EXPECT_EQ(t.window_at(92)->count(), 1u);
-  EXPECT_EQ(t.window_at(99)->count(), 1u);
-  EXPECT_EQ(t.total().count(), 100u);
+// Uniform read/write access to Counter and Timer so one ring test covers
+// both instruments: a window's sample count (0 when absent) and totals.
+void record_one(obs::Counter& c, Tick now) { c.add(now); }
+void record_one(obs::Timer& t, Tick now) { t.record(now, 2 * kMillisecond); }
+size_t window_count(const obs::Counter& c) { return c.series().size(); }
+size_t window_count(const obs::Timer& t) { return t.window_count(); }
+uint64_t samples_at(const obs::Counter& c, size_t w) { return c.series().count_at(w); }
+uint64_t samples_at(const obs::Timer& t, size_t w) {
+  const Histogram* h = t.window_at(w);
+  return h == nullptr ? 0 : h->count();
+}
+uint64_t total_samples(const obs::Counter& c) { return c.total(); }
+uint64_t total_samples(const obs::Timer& t) { return t.total().count(); }
+
+template <typename Instrument>
+uint64_t resident_samples(const Instrument& inst, size_t from, size_t to) {
+  uint64_t n = 0;
+  for (size_t w = from; w < to; ++w) n += samples_at(inst, w);
+  return n;
+}
+
+template <typename Instrument>
+void check_ring_bounds() {
+  // One sample per window across 100 windows more than the ring holds:
+  // only the newest kCapacity stay resident, everything older reads as
+  // empty, and totals still cover every sample. This is the memory bound
+  // for long-horizon runs — the ring never grows past kCapacity windows
+  // no matter how far time advances.
+  constexpr size_t kCap = WindowRing<uint64_t>::kCapacity;
+  constexpr size_t kWindows = kCap + 100;
+  Instrument inst;
+  for (size_t w = 0; w < kWindows; ++w) record_one(inst, w * kSecond + 5);
+  EXPECT_EQ(window_count(inst), kWindows);
+  EXPECT_EQ(total_samples(inst), kWindows);
+  EXPECT_EQ(resident_samples(inst, 0, kWindows), kCap);
+  EXPECT_EQ(samples_at(inst, 99), 0u);
+  EXPECT_EQ(samples_at(inst, 100), 1u);
+  EXPECT_EQ(samples_at(inst, kWindows - 1), 1u);
 
   // A jump wider than the ring ages every retained window out at once;
-  // retention restarts at the jump target without allocating the gap.
-  t.record(100000 * kSecond, 5 * kMillisecond);
-  EXPECT_EQ(t.window_count(), 100001u);
-  EXPECT_EQ(t.first_retained(), 100000u);
-  EXPECT_EQ(t.window_at(99), nullptr);
-  EXPECT_EQ(t.window_at(99999), nullptr);
-  ASSERT_NE(t.window_at(100000), nullptr);
-  EXPECT_EQ(t.window_at(100000)->count(), 1u);
+  // retention restarts at the jump target without allocating the gap...
+  constexpr size_t kJump = 100000;
+  record_one(inst, kJump * kSecond);
+  EXPECT_EQ(window_count(inst), kJump + 1);
+  EXPECT_EQ(resident_samples(inst, 0, kJump), 0u);
+  EXPECT_EQ(samples_at(inst, kJump), 1u);
+
+  // ...and regrows to the full capacity before it rotates again.
+  for (size_t w = kJump + 1; w < kJump + kCap + 5; ++w) record_one(inst, w * kSecond);
+  EXPECT_EQ(resident_samples(inst, kJump, kJump + kCap + 5), kCap);
+  EXPECT_EQ(samples_at(inst, kJump + 4), 0u);
+  EXPECT_EQ(samples_at(inst, kJump + 5), 1u);
+  EXPECT_EQ(total_samples(inst), kWindows + kCap + 5);
+}
+
+TEST(TimerTest, RingBoundsWindowsOverLongHorizons) {
+  check_ring_bounds<obs::Timer>();
+  check_ring_bounds<obs::Counter>();
+
+  // Aged-out timer windows read as absent, not as empty histograms.
+  obs::Timer t;
+  t.record(0, 1);
+  t.record(static_cast<Tick>(WindowRing<Histogram>::kCapacity) * kSecond, 1);
+  EXPECT_EQ(t.window_at(0), nullptr);
+  ASSERT_NE(t.window_at(1), nullptr);
+  EXPECT_EQ(t.window_at(1)->count(), 0u);
 }
 
 // --- JSON snapshot -------------------------------------------------------

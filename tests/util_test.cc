@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/hash.h"
 #include "util/histogram.h"
@@ -262,7 +263,7 @@ TEST(HistogramTest, RecordNWithHugeCountsDoesNotOverflowCount) {
 // --------------------------------------------------------- TimeSeries --
 
 TEST(WindowedCounterTest, BucketsEventsByWindow) {
-  WindowedCounter c(kSecond);
+  WindowedCounter c;
   c.add(0, 5);
   c.add(999 * kMillisecond, 5);
   c.add(kSecond, 7);
@@ -274,7 +275,7 @@ TEST(WindowedCounterTest, BucketsEventsByWindow) {
 }
 
 TEST(WindowedCounterTest, AverageRate) {
-  WindowedCounter c(kSecond);
+  WindowedCounter c;
   for (int s = 0; s < 10; ++s) c.add(s * kSecond, 100);
   EXPECT_DOUBLE_EQ(c.average_rate(0, 10 * kSecond), 100.0);
   EXPECT_DOUBLE_EQ(c.average_rate(5 * kSecond, 10 * kSecond), 100.0);
@@ -282,13 +283,13 @@ TEST(WindowedCounterTest, AverageRate) {
 }
 
 TEST(WindowedCounterTest, NegativeTimeClampsToZero) {
-  WindowedCounter c(kSecond);
+  WindowedCounter c;
   c.add(-5, 3);
   EXPECT_EQ(c.count_at(0), 3u);
 }
 
 TEST(WindowedCounterTest, ExactWindowBoundaryStartsNewWindow) {
-  WindowedCounter c(kSecond);
+  WindowedCounter c;
   c.add(kSecond - 1, 1);  // last tick of window 0
   c.add(kSecond, 1);      // first tick of window 1
   c.add(2 * kSecond - 1, 1);
@@ -304,7 +305,7 @@ TEST(WindowedCounterTest, ExactWindowBoundaryStartsNewWindow) {
 }
 
 TEST(WindowedCounterTest, SparseAddsZeroFillSkippedWindows) {
-  WindowedCounter c(kSecond);
+  WindowedCounter c;
   c.add(0, 2);
   c.add(5 * kSecond + 1, 4);
   ASSERT_EQ(c.size(), 6u);
@@ -313,18 +314,49 @@ TEST(WindowedCounterTest, SparseAddsZeroFillSkippedWindows) {
   EXPECT_DOUBLE_EQ(c.average_rate(kSecond, 5 * kSecond), 0.0);
 }
 
-TEST(GaugeSeriesTest, AverageInWindow) {
-  GaugeSeries g;
-  g.sample(0, 1.0);
-  g.sample(kSecond, 2.0);
-  g.sample(2 * kSecond, 3.0);
-  EXPECT_DOUBLE_EQ(g.average_in(0, 2 * kSecond), 1.5);
-  EXPECT_DOUBLE_EQ(g.average_in(0, 3 * kSecond), 2.0);
-  EXPECT_DOUBLE_EQ(g.average_in(5 * kSecond, 6 * kSecond), 0.0);
+TEST(WindowedCounterTest, MatchesDenseReferenceWithinRing) {
+  // Differential against a dense per-window vector: seeded sparse adds
+  // that stay within the ring's reach (so nothing ages out) must read back
+  // identically through every accessor. Time mostly walks forward with
+  // random gaps (same-window hits, skipped windows), and one add in ten
+  // lands in an earlier window, as staged network counters do.
+  constexpr Tick kHorizon = static_cast<Tick>(WindowRing<uint64_t>::kCapacity) * kSecond;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    WindowedCounter c;
+    std::vector<uint64_t> dense;
+    Tick now = 0;
+    for (int i = 0; i < 2000; ++i) {
+      now += static_cast<Tick>(rng.uniform(static_cast<uint64_t>(kSecond)));
+      if (now >= kHorizon) break;
+      const Tick at = rng.chance(0.1) ? static_cast<Tick>(rng.uniform(now + 1)) : now;
+      const uint64_t n = rng.uniform(5);
+      c.add(at, n);
+      const auto idx = static_cast<size_t>(at / kSecond);
+      if (idx >= dense.size()) dense.resize(idx + 1, 0);
+      dense[idx] += n;
+    }
+    ASSERT_EQ(c.size(), dense.size()) << "seed " << seed;
+    for (size_t i = 0; i <= dense.size(); ++i) {
+      EXPECT_EQ(c.count_at(i), i < dense.size() ? dense[i] : 0u) << "seed " << seed;
+    }
+    for (int q = 0; q < 200; ++q) {
+      const Tick from = rng.uniform_range(-kSecond, now + kSecond);
+      const Tick to = rng.uniform_range(-kSecond, now + 2 * kSecond);
+      uint64_t want = 0;
+      for (size_t i = 0; i < dense.size(); ++i) {
+        const Tick start = static_cast<Tick>(i) * kSecond;
+        if (start >= from && start < to) want += dense[i];
+      }
+      EXPECT_EQ(c.total_in(from, to), want) << "seed " << seed << " [" << from << ", " << to << ")";
+      const double rate = to > from ? static_cast<double>(want) / to_seconds(to - from) : 0.0;
+      EXPECT_DOUBLE_EQ(c.average_rate(from, to), rate) << "seed " << seed;
+    }
+  }
 }
 
 TEST(PhaseAveragesTest, SplitsAtBoundaries) {
-  WindowedCounter c(kSecond);
+  WindowedCounter c;
   for (int s = 0; s < 4; ++s) c.add(s * kSecond, 100);
   for (int s = 4; s < 8; ++s) c.add(s * kSecond, 200);
   const auto phases = phase_averages(c, {4 * kSecond}, 8 * kSecond);
@@ -334,7 +366,7 @@ TEST(PhaseAveragesTest, SplitsAtBoundaries) {
 }
 
 TEST(PhaseAveragesTest, UnsortedBoundariesAreSorted) {
-  WindowedCounter c(kSecond);
+  WindowedCounter c;
   c.add(0, 10);
   const auto phases = phase_averages(c, {3 * kSecond, 1 * kSecond}, 5 * kSecond);
   ASSERT_EQ(phases.size(), 3u);

@@ -2,18 +2,9 @@
 """epx-lint: repo-aware static analysis for the Elastic Paxos reproduction.
 
 Mechanically enforces the simulator's determinism and lifetime invariants
-(rules R1-R6, see tools/epx-lint/README.md). Two engines:
-
-  * clang  - libclang AST walk driven off compile_commands.json. Used when
-             the `clang` python bindings are importable and a compilation
-             database is found; sharpens R1/R3 (no false hits inside
-             comments was never a problem, but the AST distinguishes e.g.
-             a call to `rand()` from a method named `strand()`).
-  * tokens - a dependency-free lexer over comment/string-stripped source.
-             The reference implementation: every rule is fully implemented
-             here, so the tool runs (and CI gates) even where libclang is
-             missing. `--engine auto` (default) picks clang when
-             available and silently falls back to tokens.
+(rules R1-R11, see tools/epx-lint/README.md). Every rule runs on a
+dependency-free lexer over comment/string-stripped source, so the tool
+needs nothing beyond the Python standard library.
 
 Exit codes: 0 clean, 1 violations found, 2 usage/internal error.
 
@@ -159,12 +150,11 @@ class Violation:
 class Report:
     violations: list = field(default_factory=list)
     suppressed: list = field(default_factory=list)
-    engine: str = "tokens"
     files_scanned: int = 0
 
 
 # --------------------------------------------------------------------------
-# Lexing helpers (token engine)
+# Lexing helpers
 # --------------------------------------------------------------------------
 
 def strip_comments_and_strings(text: str) -> str:
@@ -345,8 +335,7 @@ class FlowModel:
 
 
 class Linter:
-    def __init__(self, root: str, rules, assume_src: bool, engine: str,
-                 full_src: bool = False):
+    def __init__(self, root: str, rules, assume_src: bool, full_src: bool = False):
         self.root = os.path.abspath(root)
         self.rules = rules
         self.assume_src = assume_src
@@ -354,25 +343,6 @@ class Linter:
         self.report = Report()
         self.ctx_cache = {}
         self.flow = FlowModel()
-        self.engine = self._pick_engine(engine)
-        self.report.engine = self.engine
-
-    # -- engine selection --------------------------------------------------
-    def _pick_engine(self, requested: str) -> str:
-        if requested == "tokens":
-            return "tokens"
-        try:
-            import clang.cindex  # noqa: F401
-        except ImportError:
-            if requested == "clang":
-                raise SystemExit(
-                    "epx-lint: --engine clang requested but the `clang` python "
-                    "bindings are not importable; install libclang + python3-clang "
-                    "or use --engine tokens")
-            return "tokens"
-        if not os.path.exists(os.path.join(self.root, "build", "compile_commands.json")):
-            return "tokens" if requested == "auto" else "clang"
-        return "clang"
 
     # -- plumbing ----------------------------------------------------------
     def ctx(self, path: str) -> FileCtx:
@@ -1295,71 +1265,11 @@ class Linter:
                               "must go through the staged-channel paths")
 
     # ----------------------------------------------------------------------
-    # clang engine (R1/R3 refinement; other rules reuse the token engine)
-    # ----------------------------------------------------------------------
-    def clang_check(self, files):
-        """AST-assisted R1/R3 over the compilation database. Best effort:
-        any TU that fails to parse falls back to the token engine for that
-        file. Returns the set of files the AST pass fully covered."""
-        import clang.cindex as ci
-        covered = set()
-        try:
-            db = ci.CompilationDatabase.fromDirectory(os.path.join(self.root, "build"))
-        except ci.CompilationDatabaseError:
-            return covered
-        index = ci.Index.create()
-        banned_calls = {"rand", "srand", "time", "clock", "getenv"}
-        banned_types = {"system_clock", "steady_clock", "high_resolution_clock",
-                        "random_device", "mt19937", "mt19937_64"}
-        for path in files:
-            cmds = db.getCompileCommands(path)
-            if not cmds:
-                continue
-            args = [a for a in list(cmds[0].arguments)[1:] if a not in (path, "-c", "-o")]
-            try:
-                tu = index.parse(path, args=args)
-            except ci.TranslationUnitLoadError:
-                continue
-            ctx = self.ctx(path)
-            rel = self.effective_rel(ctx)
-            if not rel.startswith("src/"):
-                continue
-            ok = True
-            for d in tu.diagnostics:
-                if d.severity >= ci.Diagnostic.Fatal:
-                    ok = False
-            if not ok:
-                continue
-            covered.add(path)
-            for cur in tu.cursor.walk_preorder():
-                if cur.location.file is None or \
-                        os.path.abspath(cur.location.file.name) != os.path.abspath(path):
-                    continue
-                if not self.exempt("R1", rel):
-                    if cur.kind == ci.CursorKind.CALL_EXPR and cur.spelling in banned_calls:
-                        self.emit("R1", ctx, cur.location.line,
-                                  f"nondeterministic call {cur.spelling}()")
-                    if cur.kind in (ci.CursorKind.TYPE_REF, ci.CursorKind.DECL_REF_EXPR) \
-                            and cur.spelling in banned_types:
-                        self.emit("R1", ctx, cur.location.line,
-                                  f"nondeterministic source {cur.spelling}")
-                if not self.exempt("R3", rel):
-                    if cur.kind == ci.CursorKind.CXX_NEW_EXPR:
-                        self.emit("R3", ctx, cur.location.line, "naked `new` expression")
-                    if cur.kind == ci.CursorKind.CXX_DELETE_EXPR:
-                        self.emit("R3", ctx, cur.location.line, "naked `delete` expression")
-        return covered
-
-    # ----------------------------------------------------------------------
     # driver
     # ----------------------------------------------------------------------
     def run(self, files):
         files = [os.path.abspath(f) for f in files if f.endswith(SRC_EXTS)]
         self.report.files_scanned = len(files)
-        ast_covered = set()
-        if self.engine == "clang" and {"R1", "R3"} & set(self.rules):
-            cc_files = [f for f in files if f.endswith((".cc", ".cpp", ".cxx"))]
-            ast_covered = self.clang_check(cc_files)
         # Status function DB needs headers beyond the scanned set.
         status_fns = set()
         if "R6" in self.rules:
@@ -1378,11 +1288,11 @@ class Linter:
             if not self.assume_src and "tests/lint_fixtures/" in ctx.rel:
                 continue
             self.collect_flow(ctx)
-            if "R1" in self.rules and path not in ast_covered:
+            if "R1" in self.rules:
                 self.check_r1(ctx)
             if "R2" in self.rules:
                 self.check_r2(ctx)
-            if "R3" in self.rules and path not in ast_covered:
+            if "R3" in self.rules:
                 self.check_r3(ctx)
             if "R4" in self.rules:
                 self.check_r4(ctx)
@@ -1519,7 +1429,6 @@ def main(argv=None):
     ap.add_argument("paths", nargs="*", default=None,
                     help="files or directories to lint (default: src tests bench)")
     ap.add_argument("--root", default=".", help="repository root (default: cwd)")
-    ap.add_argument("--engine", choices=("auto", "clang", "tokens"), default="auto")
     ap.add_argument("--rules", default=",".join(RULES),
                     help="comma-separated subset of rules to run (default: all)")
     ap.add_argument("--assume-src", action="store_true",
@@ -1560,7 +1469,7 @@ def main(argv=None):
     full_src = any(os.path.abspath(p if os.path.isabs(p) else os.path.join(root, p))
                    == src_dir for p in paths)
 
-    linter = Linter(root, rules, args.assume_src, args.engine, full_src=full_src)
+    linter = Linter(root, rules, args.assume_src, full_src=full_src)
     report = linter.run(files)
 
     drift = []
@@ -1591,7 +1500,6 @@ def main(argv=None):
 
     if args.json:
         print(json.dumps({
-            "engine": report.engine,
             "files_scanned": report.files_scanned,
             "violations": [vars(v) for v in report.violations],
             "suppressed": [vars(v) for v in report.suppressed],
@@ -1605,7 +1513,7 @@ def main(argv=None):
         for fn in drift:
             print(f"epx-lint: registry file {fn} is stale — regenerate with "
                   "`epx_lint.py --emit-registry`")
-        print(f"epx-lint[{report.engine}]: {report.files_scanned} files, "
+        print(f"epx-lint: {report.files_scanned} files, "
               f"{len(report.violations)} violation(s), "
               f"{len(report.suppressed)} suppressed")
     return 1 if report.violations or drift else 0

@@ -97,8 +97,7 @@ MUTATIONS = [
 
 
 def run_lint(root, fixture, rule):
-    cmd = [sys.executable, LINT, "--root", root, "--engine", "tokens",
-           "--assume-src", "--json", "--rules", rule,
+    cmd = [sys.executable, LINT, "--root", root, "--assume-src", "--json", "--rules", rule,
            os.path.join(root, "tests", "lint_fixtures", fixture)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode == 2:
@@ -150,19 +149,16 @@ def main():
     # scripts branch on them); pin all three codes and the top-level keys.
     print("exit codes / JSON schema:")
     proc = subprocess.run(
-        [sys.executable, LINT, "--root", root, "--engine", "tokens",
-         "--rules", "R99", os.path.join(root, "src")],
+        [sys.executable, LINT, "--root", root, "--rules", "R99", os.path.join(root, "src")],
         capture_output=True, text=True)
     check(proc.returncode == 2, "unknown rule exits 2", f"exit={proc.returncode}")
     proc = subprocess.run(
-        [sys.executable, LINT, "--root", root, "--engine", "tokens",
-         os.path.join(root, "no_such_dir_xyz")],
+        [sys.executable, LINT, "--root", root, os.path.join(root, "no_such_dir_xyz")],
         capture_output=True, text=True)
     check(proc.returncode == 2, "nonexistent path exits 2", f"exit={proc.returncode}")
     rc, rep = run_lint(root, "r8_clean_messages.h", "R8")
     check(rc == 0, "clean scan exits 0", f"exit={rc}")
-    want_keys = {"engine", "files_scanned", "violations", "suppressed",
-                 "registry_drift"}
+    want_keys = {"files_scanned", "violations", "suppressed", "registry_drift"}
     check(want_keys <= set(rep), "JSON report carries the pinned top-level keys",
           f"missing {sorted(want_keys - set(rep))}")
     rc, _ = run_lint(root, "r8_bad_messages.h", "R8")
@@ -184,8 +180,8 @@ def main():
             with open(path, "w", encoding="utf-8") as f:
                 f.write(original.replace(old, new, 1))
             proc = subprocess.run(
-                [sys.executable, LINT, "--root", tmp, "--engine", "tokens",
-                 "--json", "--rules", rule, os.path.join(tmp, "src")],
+                [sys.executable, LINT, "--root", tmp, "--json", "--rules", rule,
+                 os.path.join(tmp, "src")],
                 capture_output=True, text=True)
             with open(path, "w", encoding="utf-8") as f:
                 f.write(original)
@@ -203,8 +199,7 @@ def main():
     # No explicit paths: artifacts are canonically emitted from the default
     # scan set (src tests bench), so drift must be checked against the same.
     proc = subprocess.run(
-        [sys.executable, LINT, "--root", root, "--engine", "tokens",
-         "--rules", "R8", "--json", "--check-registry"],
+        [sys.executable, LINT, "--root", root, "--rules", "R8", "--json", "--check-registry"],
         capture_output=True, text=True)
     rep = json.loads(proc.stdout) if proc.stdout else {}
     check(proc.returncode == 0 and not rep.get("registry_drift"),
@@ -212,14 +207,13 @@ def main():
           f"exit={proc.returncode}, drift={rep.get('registry_drift')}")
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run(
-            [sys.executable, LINT, "--root", root, "--engine", "tokens",
-             "--rules", "R8", "--emit-registry", tmp],
+            [sys.executable, LINT, "--root", root, "--rules", "R8", "--emit-registry", tmp],
             capture_output=True, text=True, check=True)
         with open(os.path.join(tmp, "names.json"), "a", encoding="utf-8") as f:
             f.write("\n")
         proc = subprocess.run(
-            [sys.executable, LINT, "--root", root, "--engine", "tokens",
-             "--rules", "R8", "--json", "--check-registry", tmp],
+            [sys.executable, LINT, "--root", root, "--rules", "R8", "--json",
+             "--check-registry", tmp],
             capture_output=True, text=True)
         rep = json.loads(proc.stdout) if proc.stdout else {}
         check(proc.returncode == 1 and "names.json" in rep.get("registry_drift", []),
@@ -228,7 +222,7 @@ def main():
 
     # The real tree must be violation-free under every rule — this is the
     # same gate CI runs, kept here so `ctest` alone catches regressions.
-    cmd = [sys.executable, LINT, "--root", root, "--engine", "tokens", "--json"]
+    cmd = [sys.executable, LINT, "--root", root, "--json"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     rep = json.loads(proc.stdout)
     print("repo scan (src tests bench):")
