@@ -130,6 +130,9 @@ bool ElasticMerger::step_normal() {
 
 void ElasticMerger::handle_control(const Command& cmd) {
   if (cmd.group != group_) return;  // addressed to another group
+  // The controller re-proposes blindly, so a request can be ordered
+  // again after a later reconfiguration; that copy must not undo it.
+  if (!handled_controls_.insert(cmd.id).second) return;
 
   switch (cmd.kind) {
     case CommandKind::kSubscribe:

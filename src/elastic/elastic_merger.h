@@ -20,6 +20,9 @@
 //     learner early so it catches up in the background and the later
 //     subscribe finds the stream already buffered (the Fig. 5 flat line).
 //
+// Each control request takes effect at most once per merger: a re-sent
+// copy ordered after a later reconfiguration is ignored.
+//
 // Delivery order is always lexicographic in (slot index, stream id);
 // merge-point alignment guarantees replicas join streams at consistent
 // indexes, which yields pairwise-consistent (acyclic) delivery across
@@ -155,6 +158,8 @@ class ElasticMerger {
   SlotIndex merge_point_ = 0;
   Tick scan_begin_ = 0;  ///< when the pending subscription started scanning
   std::deque<Command> deferred_subscribes_;
+  /// Control command ids already handled: each takes effect at most once.
+  std::set<uint64_t> handled_controls_;
 
   Instruments obs_;
 

@@ -133,26 +133,27 @@ void Replica::on_crash() {
 }
 
 void Replica::on_deliver(const Command& cmd, StreamId stream) {
-  if (config_.dedup_deliveries) {
-    if (!seen_ids_.insert(cmd.id).second) {
-      // Duplicate ordering (client re-send): execution is suppressed but
-      // the acknowledgment is re-sent. The duplicate exists precisely
-      // because the client saw no reply for the first ordering; staying
-      // silent here would leave it re-sending forever — every retry
-      // deduped, never acknowledged — until some freshly subscribed
-      // group delivers the retry as its first occurrence (and orders it
-      // against later commands inversely to longer-subscribed groups).
-      if (config_.send_replies && cmd.client != net::kInvalidNode) {
-        send(cmd.client, net::make_mutable_message<multicast::ReplyMsg>(cmd.id, 0));
-      }
-      return;
+  if (!seen_ids_.insert(cmd.id).second) {
+    // Duplicate ordering (client re-send): execution is suppressed but
+    // the acknowledgment is re-sent. The duplicate exists precisely
+    // because the client saw no reply for the first ordering; staying
+    // silent here would leave it re-sending forever — every retry
+    // deduped, never acknowledged — until some freshly subscribed
+    // group delivers the retry as its first occurrence (and orders it
+    // against later commands inversely to longer-subscribed groups).
+    if (config_.send_replies && cmd.client != net::kInvalidNode) {
+      send(cmd.client, net::make_mutable_message<multicast::ReplyMsg>(cmd.id, 0));
     }
-    seen_order_.push_back(cmd.id);
-    constexpr size_t kSeenWindow = 1 << 17;
-    if (seen_order_.size() > kSeenWindow) {
-      seen_ids_.erase(seen_order_.front());
-      seen_order_.pop_front();
-    }
+    return;
+  }
+  seen_order_.push_back(cmd.id);
+  // The order monitor's integrity check trusts this window: a repeat it
+  // flags must be one this replica still remembers.
+  constexpr size_t kSeenWindow = 1 << 17;
+  static_assert(obs::MonitorHub::kDedupWindow <= kSeenWindow);
+  if (seen_order_.size() > kSeenWindow) {
+    seen_ids_.erase(seen_order_.front());
+    seen_order_.pop_front();
   }
   const Tick apply_cost =
       config_.apply_cpu_per_cmd +

@@ -41,11 +41,6 @@ class Replica : public sim::Process {
     /// Reply to cmd.client after applying an app command. Subclasses
     /// that produce their own replies (the KV store) disable this.
     bool send_replies = true;
-    /// Suppress duplicate command ids at delivery. Client re-sends can
-    /// legitimately be ordered twice (lost reply, re-partitioning);
-    /// exactly-once execution is restored here. Deterministic across a
-    /// group because every member sees the same merged sequence.
-    bool dedup_deliveries = true;
   };
 
   /// Application execution hook, called in merged delivery order.
@@ -128,6 +123,10 @@ class Replica : public sim::Process {
   obs::Counter* delivered_bytes_;
   std::vector<obs::Counter*> per_stream_delivered_;
 
+  // Delivery dedup. Client re-sends can legitimately be ordered twice
+  // (lost reply, re-partitioning); exactly-once execution is restored
+  // here. Deterministic across a group because every member sees the
+  // same merged sequence.
   std::set<uint64_t> seen_ids_;
   std::deque<uint64_t> seen_order_;
   bool pump_pending_ = false;  // merger pump deferred to on_batch_end

@@ -9,9 +9,8 @@ void MonitorHub::register_replica(uint64_t group, uint32_t node) {
   if (!enabled_) return;
   GroupState& g = groups_[group];
   if (g.position.empty()) {
-    // (Re)founding member: the group's ordinal space restarts at 0.
-    g.canonical.clear();
-    g.base = 0;
+    // (Re)founding member: a new incarnation whose ordinals start at 0.
+    g.incarnation = ++incarnations_;
     g.position[node] = 0;
     return;
   }
@@ -33,10 +32,19 @@ void MonitorHub::deregister_replica(uint64_t group, uint32_t node) {
   auto it = groups_.find(group);
   if (it == groups_.end()) return;
   it->second.position.erase(node);
-  if (it->second.position.empty()) {
-    groups_.erase(it);
-  } else {
+  if (!it->second.position.empty()) {
     trim_group(it->second);
+    return;
+  }
+  // Dissolved: its sightings go stale with the incarnation; drop its
+  // pair state so a re-founded group starts comparing afresh.
+  groups_.erase(it);
+  for (auto m = last_match_.begin(); m != last_match_.end();) {
+    if (m->first.first == group || m->first.second == group) {
+      m = last_match_.erase(m);
+    } else {
+      ++m;
+    }
   }
 }
 
@@ -80,8 +88,79 @@ void MonitorHub::on_deliver_impl(uint64_t group, uint32_t node, uint32_t stream,
   } else {
     // First member to reach this ordinal defines the canonical sequence.
     g.canonical.push_back(cmd_id);
+    check_canonical(group, g, ordinal, node, stream, cmd_id, now);
   }
   trim_group(g);
+}
+
+void MonitorHub::check_canonical(uint64_t group, const GroupState& g,
+                                 uint64_t ordinal, uint32_t node, uint32_t stream,
+                                 uint64_t cmd_id, Tick now) {
+  auto [it, fresh] = sightings_.try_emplace(cmd_id);
+  std::vector<Sighting>& seen = it->second;
+  // Sightings from dissolved or re-founded groups are never compared.
+  std::erase_if(seen, [this](const Sighting& s) {
+    auto other = groups_.find(s.group);
+    return other == groups_.end() || other->second.incarnation != s.incarnation;
+  });
+  for (Sighting& s : seen) {
+    if (s.group != group) continue;
+    if (ordinal - s.ordinal <= kDedupWindow) {
+      Violation v;
+      v.monitor = "order";
+      v.time = now;
+      v.group = group;
+      v.node = node;
+      v.stream = stream;
+      v.detail = "duplicate delivery in group " + std::to_string(group) + ": cmd " +
+                 std::to_string(cmd_id) + " (stream " + std::to_string(stream) +
+                 ") at ordinal " + std::to_string(ordinal) +
+                 ", already delivered at ordinal " + std::to_string(s.ordinal);
+      report(std::move(v));
+    }
+    // A repeat orders nothing new; later repeats count from this one.
+    s.ordinal = ordinal;
+    return;
+  }
+  for (const Sighting& s : seen) check_pair(s, group, ordinal, node, stream, cmd_id, now);
+  seen.push_back({group, g.incarnation, ordinal});
+  if (fresh) {
+    sighting_order_.push_back(cmd_id);
+    if (sighting_order_.size() > kDedupWindow) {
+      sightings_.erase(sighting_order_.front());
+      sighting_order_.pop_front();
+    }
+  }
+}
+
+void MonitorHub::check_pair(const Sighting& first, uint64_t group, uint64_t ordinal,
+                            uint32_t node, uint32_t stream, uint64_t cmd_id,
+                            Tick now) {
+  const bool first_is_lo = first.group < group;
+  const uint64_t lo_group = first_is_lo ? first.group : group;
+  const uint64_t hi_group = first_is_lo ? group : first.group;
+  const Match match{cmd_id, first_is_lo ? first.ordinal : ordinal,
+                    first_is_lo ? ordinal : first.ordinal};
+  auto [it, inserted] = last_match_.try_emplace({lo_group, hi_group}, match);
+  if (inserted) return;
+  const Match prev = it->second;
+  it->second = match;
+  if (match.lo > prev.lo && match.hi > prev.hi) return;
+  Violation v;
+  v.monitor = "order";
+  v.time = now;
+  v.group = group;
+  v.node = node;
+  v.stream = stream;
+  v.detail = "cross-group order inversion between groups " + std::to_string(lo_group) +
+             " and " + std::to_string(hi_group) + ": cmd " + std::to_string(cmd_id) +
+             " (stream " + std::to_string(stream) + ") is at ordinal " +
+             std::to_string(match.lo) + " in group " + std::to_string(lo_group) +
+             " and " + std::to_string(match.hi) + " in group " +
+             std::to_string(hi_group) + ", cmd " + std::to_string(prev.cmd_id) +
+             " at ordinal " + std::to_string(prev.lo) + " and " +
+             std::to_string(prev.hi);
+  report(std::move(v));
 }
 
 void MonitorHub::on_learner_reset(uint32_t node, uint32_t stream,
@@ -164,6 +243,10 @@ std::string MonitorHub::summary() const {
 
 void MonitorHub::clear() {
   groups_.clear();
+  incarnations_ = 0;
+  sightings_.clear();
+  sighting_order_.clear();
+  last_match_.clear();
   next_instance_.clear();
   merge_points_.clear();
   violations_.clear();

@@ -1,17 +1,32 @@
 // Online invariant monitors: continuous safety checking on the live run.
 //
-// The protocol's checker tests validate safety post-hoc; the monitors
-// here validate it *while the run executes*, so a divergence surfaces at
-// the first bad delivery — with the offending stream/instance in the
-// diagnostic — instead of minutes of simulated time later. Three
-// monitors cover the paper's core safety properties:
+// The hub is the repo's only atomic-multicast oracle: tests arm it
+// before adding replicas and assert a clean run, and traced bench runs
+// (--trace-out) arm it too. A divergence surfaces at the first bad
+// delivery, with the offending stream/instance in the diagnostic,
+// instead of after the run. Three monitors cover the paper's core
+// safety properties:
 //
-//   * Order   — uniform total order (paper §II): every replica of a
-//     group delivers the same command prefix. The hub keeps a canonical
-//     per-group delivery sequence (first replica to reach an ordinal
-//     defines it) and compares every later delivery against it. The
-//     window is trimmed below the slowest member, so memory is bounded
-//     by group skew, not run length.
+//   * Order   — the atomic-multicast contract (paper §III), checked on
+//     each group's canonical delivery sequence (the first registered
+//     replica to reach an ordinal defines it):
+//       - agreement: every other registered member delivers the same
+//         prefix. The canonical window is trimmed below the slowest
+//         member, so memory is bounded by group skew, not run length;
+//       - integrity: no command id appears twice in a group's sequence
+//         within kDedupWindow ordinals (the replica's own dedup window,
+//         so a retry a replica has legitimately forgotten never fires);
+//       - pairwise order: two groups that both deliver m and m' deliver
+//         them in the same relative order. Each command's canonical
+//         sightings (group, incarnation, ordinal) live in a FIFO of at
+//         most kDedupWindow ids. When group h delivers an id group g
+//         already delivered, that is a match (ordinal_g, ordinal_h);
+//         in a correct run consecutive matches of a group pair rise in
+//         both coordinates, so comparing each match with the pair's
+//         previous one finds every inversion with one entry per pair.
+//     Registering into an empty group (re)founds it: a new incarnation
+//     whose ordinals restart at 0. Sightings and pair state of an older
+//     incarnation are never compared with it.
 //   * Gap     — gap-free decided instance sequences per stream: a
 //     learner must hand instance n+1 to the merger after instance n
 //     unless it legitimately jumped over a trimmed prefix (which the
@@ -24,7 +39,7 @@
 // A violation is recorded (diagnostic string, `monitor.violations`
 // counter, EPX_ERROR log) and the bound flight recorder — if any —
 // dumps a post-mortem on the first one. Monitors never abort the run:
-// tests assert `violations().empty()` (or the opposite, for injection
+// tests assert `violation_count() == 0` (or the opposite, for injection
 // tests).
 //
 // Disabled by default: EVERY hook — including membership registration
@@ -43,6 +58,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -115,12 +131,29 @@ class MonitorHub {
   void clear();
 
   static constexpr size_t kMaxStored = 64;
+  /// Integrity and pairwise-order window, in command ids. Must not
+  /// exceed the replica's delivery-dedup window (elastic/replica.cc).
+  static constexpr uint64_t kDedupWindow = 1 << 17;
 
  private:
   struct GroupState {
     std::deque<uint64_t> canonical;  ///< delivered cmd ids from `base` on
     uint64_t base = 0;               ///< ordinal of canonical.front()
+    uint64_t incarnation = 0;        ///< bumped each time the group is founded
     std::map<uint32_t, uint64_t> position;  ///< next ordinal per member
+  };
+  /// Where one group's canonical sequence holds a command.
+  struct Sighting {
+    uint64_t group = 0;
+    uint64_t incarnation = 0;
+    uint64_t ordinal = 0;
+  };
+  /// Last command both groups of a pair delivered, with its ordinal in
+  /// the lower-numbered (`lo`) and higher-numbered (`hi`) group.
+  struct Match {
+    uint64_t cmd_id = 0;
+    uint64_t lo = 0;
+    uint64_t hi = 0;
   };
   struct MergePointState {
     uint64_t merge_point = 0;
@@ -134,6 +167,11 @@ class MonitorHub {
   void on_merge_point_impl(uint64_t group, uint32_t node, uint32_t stream,
                            uint64_t merge_point, uint64_t subscribe_id, Tick now);
   void trim_group(GroupState& g);
+  /// Integrity and pairwise-order checks for a new canonical entry.
+  void check_canonical(uint64_t group, const GroupState& g, uint64_t ordinal,
+                       uint32_t node, uint32_t stream, uint64_t cmd_id, Tick now);
+  void check_pair(const Sighting& first, uint64_t group, uint64_t ordinal,
+                  uint32_t node, uint32_t stream, uint64_t cmd_id, Tick now);
   void report(Violation v);
 
   bool enabled_ = false;
@@ -141,6 +179,12 @@ class MonitorHub {
   FlightRecorder* recorder_ = nullptr;
 
   std::map<uint64_t, GroupState> groups_;
+  uint64_t incarnations_ = 0;
+  /// cmd id -> its sightings, one per group; ids evicted in FIFO order.
+  std::unordered_map<uint64_t, std::vector<Sighting>> sightings_;
+  std::deque<uint64_t> sighting_order_;
+  /// (lo group, hi group) -> last match of the pair.
+  std::map<std::pair<uint64_t, uint64_t>, Match> last_match_;
   /// (node, stream) -> next expected instance; absent until reset/first
   /// delivery.
   std::map<std::pair<uint32_t, uint32_t>, uint64_t> next_instance_;

@@ -1,77 +1,15 @@
-// Self-tests for the correctness oracles: they must accept legal
+// Self-tests for the linearizability oracle: it must accept legal
 // histories and flag each class of violation (otherwise green runs mean
-// nothing).
+// nothing). The order oracle's self-tests live in monitor_test.cc.
 #include <gtest/gtest.h>
 
 #include "checker/linearizability.h"
-#include "checker/order_checker.h"
 
 namespace epx {
 namespace {
 
 using checker::KvOp;
 using checker::LinearizabilityChecker;
-using checker::OrderChecker;
-
-// ------------------------------------------------------- OrderChecker --
-
-TEST(OrderCheckerTest, AcceptsIdenticalSequences) {
-  OrderChecker c;
-  for (uint32_t r : {1u, 2u}) {
-    for (uint64_t m : {10u, 20u, 30u}) c.record(r, m);
-  }
-  EXPECT_EQ(c.check_all(), "");
-  EXPECT_EQ(c.check_group_agreement({1, 2}), "");
-}
-
-TEST(OrderCheckerTest, AcceptsDisjointDeliveries) {
-  OrderChecker c;
-  c.record(1, 10);
-  c.record(2, 20);
-  EXPECT_EQ(c.check_pairwise_order(), "");
-}
-
-TEST(OrderCheckerTest, AcceptsInterleavedSubsets) {
-  // r2 delivers a subsequence of r1 — consistent order.
-  OrderChecker c;
-  for (uint64_t m : {1u, 2u, 3u, 4u, 5u}) c.record(1, m);
-  for (uint64_t m : {2u, 4u}) c.record(2, m);
-  EXPECT_EQ(c.check_pairwise_order(), "");
-}
-
-TEST(OrderCheckerTest, DetectsPairwiseInversion) {
-  OrderChecker c;
-  c.record(1, 10);
-  c.record(1, 20);
-  c.record(2, 20);
-  c.record(2, 10);
-  EXPECT_NE(c.check_pairwise_order(), "");
-}
-
-TEST(OrderCheckerTest, DetectsDuplicateDelivery) {
-  OrderChecker c;
-  c.record(1, 10);
-  c.record(1, 10);
-  EXPECT_NE(c.check_integrity(), "");
-}
-
-TEST(OrderCheckerTest, DetectsGroupDivergence) {
-  OrderChecker c;
-  c.record(1, 10);
-  c.record(1, 20);
-  c.record(2, 20);
-  c.record(2, 10);
-  EXPECT_NE(c.check_group_agreement({1, 2}), "");
-}
-
-TEST(OrderCheckerTest, GroupPrefixAllowedWhenRequested) {
-  OrderChecker c;
-  c.record(1, 10);
-  c.record(1, 20);
-  c.record(2, 10);
-  EXPECT_NE(c.check_group_agreement({1, 2}, /*allow_prefix=*/false), "");
-  EXPECT_EQ(c.check_group_agreement({1, 2}, /*allow_prefix=*/true), "");
-}
 
 // --------------------------------------------- LinearizabilityChecker --
 

@@ -230,6 +230,24 @@ TEST(ElasticMergerTest, DuplicateSubscribeIsIgnored) {
   EXPECT_EQ(h.merger.phase(), ElasticMerger::Phase::kNormal);
 }
 
+TEST(ElasticMergerTest, ReorderedControlCopyTakesNoEffect) {
+  // The controller re-proposes blindly, so a copy of a subscribe can be
+  // ordered after the group already unsubscribed again. It must not
+  // start a second subscription (which would stall delivery on a scan).
+  MergerHarness h(1);
+  h.merger.bootstrap({1});
+  h.merger.queue(1).push_proposal(value_at(0, paxos::make_subscribe(77, 1, 2)));
+  h.merger.queue(2).push_proposal(value_at(0, paxos::make_subscribe(77, 1, 2)));
+  h.merger.queue(1).push_proposal(value_at(1, paxos::make_unsubscribe(78, 1, 2)));
+  h.merger.queue(1).push_proposal(value_at(2, paxos::make_subscribe(77, 1, 2)));
+  h.merger.queue(1).push_proposal(value_at(3, app_cmd(10)));
+  h.merger.pump();
+  EXPECT_EQ(h.delivered, (std::vector<uint64_t>{10}));
+  EXPECT_EQ(h.merger.phase(), ElasticMerger::Phase::kNormal);
+  EXPECT_EQ(h.merger.subscriptions(), (std::vector<StreamId>{1}));
+  EXPECT_EQ(h.learners_started, (std::vector<StreamId>{1, 2}));
+}
+
 TEST(ElasticMergerTest, SubscribeDuringAligningIsDeferred) {
   MergerHarness h(1);
   h.merger.bootstrap({1});

@@ -2,7 +2,6 @@
 // state transfer, and online shard merge.
 #include <gtest/gtest.h>
 
-#include "checker/order_checker.h"
 #include "harness/kv_cluster.h"
 #include "tests/test_util.h"
 

@@ -112,6 +112,110 @@ TEST(OrderMonitorTest, StoredViolationsAreCapped) {
   EXPECT_EQ(hub.violation_count(), n);
 }
 
+/// Delivers `cmds` in order as `node` of `group`.
+void deliver_all(MonitorHub& hub, uint64_t group, uint32_t node,
+                 std::initializer_list<uint64_t> cmds) {
+  for (uint64_t cmd : cmds) hub.on_deliver(group, node, 5, cmd, 0);
+}
+
+TEST(OrderMonitorTest, CrossGroupInversionFiresNamingGroupsAndCommands) {
+  QuietLog quiet;
+  MonitorHub hub;
+  hub.set_enabled(true);
+  hub.register_replica(1, 10);
+  hub.register_replica(2, 20);
+  deliver_all(hub, 1, 10, {100, 200});
+  deliver_all(hub, 2, 20, {200, 100});
+  ASSERT_EQ(hub.violations().size(), 1u);
+  const obs::Violation& v = hub.violations()[0];
+  EXPECT_EQ(v.monitor, "order");
+  EXPECT_EQ(v.group, 2u);
+  EXPECT_EQ(v.node, 20u);
+  EXPECT_NE(v.detail.find("groups 1 and 2"), std::string::npos) << v.detail;
+  EXPECT_NE(v.detail.find("cmd 100"), std::string::npos) << v.detail;
+  EXPECT_NE(v.detail.find("cmd 200"), std::string::npos) << v.detail;
+}
+
+TEST(OrderMonitorTest, InterleavedSubsetsStaySilent) {
+  MonitorHub hub;
+  hub.set_enabled(true);
+  hub.register_replica(1, 11);
+  hub.register_replica(2, 12);
+  deliver_all(hub, 1, 11, {1, 2, 3, 4, 5});
+  // Group 2 shares a subsequence with group 1, interleaved with its own
+  // commands.
+  deliver_all(hub, 2, 12, {50, 2, 60, 4, 70});
+  // Sharing in the other direction: group 1 now trails group 2.
+  deliver_all(hub, 2, 12, {80, 90});
+  deliver_all(hub, 1, 11, {6, 80, 7, 90});
+  EXPECT_EQ(hub.violation_count(), 0u) << hub.summary();
+}
+
+TEST(OrderMonitorTest, DisjointGroupsStaySilent) {
+  MonitorHub hub;
+  hub.set_enabled(true);
+  for (uint64_t group : {1u, 2u, 3u}) hub.register_replica(group, 10 + group);
+  deliver_all(hub, 1, 11, {1, 2, 3});
+  deliver_all(hub, 2, 12, {50, 60});
+  deliver_all(hub, 3, 13, {900, 901});
+  EXPECT_EQ(hub.violation_count(), 0u) << hub.summary();
+}
+
+TEST(OrderMonitorTest, DuplicateInsideGroupFires) {
+  QuietLog quiet;
+  MonitorHub hub;
+  hub.set_enabled(true);
+  hub.register_replica(1, 10);
+  hub.register_replica(1, 11);
+  deliver_all(hub, 1, 10, {100, 101, 100});
+  deliver_all(hub, 1, 11, {100, 101, 100});  // agrees with the canonical
+  ASSERT_EQ(hub.violations().size(), 1u);
+  const obs::Violation& v = hub.violations()[0];
+  EXPECT_EQ(v.monitor, "order");
+  EXPECT_EQ(v.node, 10u);
+  EXPECT_NE(v.detail.find("duplicate delivery in group 1: cmd 100"),
+            std::string::npos)
+      << v.detail;
+}
+
+TEST(OrderMonitorTest, DuplicateOlderThanDedupWindowIsSilent) {
+  // A replica forgets a command id kDedupWindow deliveries later and may
+  // legitimately deliver a retry again. Command 1 was first seen by
+  // another group, so the sighting FIFO still holds command 100 when it
+  // repeats: only the ordinal distance tells the two cases apart.
+  auto repeat_after = [](uint64_t fresh) {
+    QuietLog quiet;
+    MonitorHub hub;
+    hub.set_enabled(true);
+    hub.register_replica(1, 10);
+    hub.register_replica(2, 20);
+    deliver_all(hub, 2, 20, {1});
+    deliver_all(hub, 1, 10, {100, 1});
+    for (uint64_t i = 0; i < fresh; ++i) hub.on_deliver(1, 10, 5, 1000 + i, 0);
+    hub.on_deliver(1, 10, 5, 100, 0);
+    return hub.violation_count();
+  };
+  const uint64_t w = MonitorHub::kDedupWindow;
+  EXPECT_EQ(repeat_after(w - 2), 1u) << "repeat at distance kDedupWindow";
+  EXPECT_EQ(repeat_after(w - 1), 0u) << "repeat past the window";
+}
+
+TEST(OrderMonitorTest, RefoundedGroupIsNotComparedWithOldIncarnation) {
+  MonitorHub hub;
+  hub.set_enabled(true);
+  hub.register_replica(1, 10);
+  hub.register_replica(2, 20);
+  deliver_all(hub, 1, 10, {100, 200});
+  deliver_all(hub, 2, 20, {100, 200});
+  // Group 1 dissolves and is founded again: its ordinals restart at 0.
+  hub.deregister_replica(1, 10);
+  hub.register_replica(1, 11);
+  // Neither a duplicate of the old incarnation's deliveries nor ordered
+  // against the old incarnation's last match with group 2.
+  deliver_all(hub, 1, 11, {100, 200});
+  EXPECT_EQ(hub.violation_count(), 0u) << hub.summary();
+}
+
 // --- gap monitor ---------------------------------------------------------
 
 TEST(GapMonitorTest, ContiguousInstancesStaySilent) {

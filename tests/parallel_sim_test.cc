@@ -41,6 +41,7 @@ struct RunResult {
   /// Per-second window counts of the staged network counters and each
   /// replica's delivery series (exercises cross-shard counter staging).
   std::vector<std::vector<uint64_t>> series;
+  uint64_t violations = 0;  ///< invariant-monitor violations (armed runs)
 };
 
 uint64_t mix(uint64_t h, uint64_t v) {
@@ -55,11 +56,12 @@ std::vector<uint64_t> windows(const WindowedCounter& c) {
 }
 
 RunResult run_cluster(uint64_t seed, size_t threads, Timeline timeline,
-                      bool scatter_assignment) {
+                      bool scatter_assignment, bool monitored = false) {
   ClusterOptions options;
   options.seed = seed;
   options.threads = threads;  // explicit: EPX_FORCE_THREADS must not apply
   Cluster cluster(options);
+  if (monitored) cluster.sim().monitors().set_enabled(true);
   if (scatter_assignment) {
     // Replace the harness's locality-aware mapping with a hash scatter
     // that splits every ring across shards: worst case for staging
@@ -119,6 +121,7 @@ RunResult run_cluster(uint64_t seed, size_t threads, Timeline timeline,
                                          : std::vector<uint64_t>{});
   }
   for (auto* r : {r1, r2, r3}) result.series.push_back(windows(r->delivery_series()));
+  result.violations = cluster.sim().monitors().violation_count();
   return result;
 }
 
@@ -264,6 +267,26 @@ TEST_P(ParallelSimTest, ShardAssignmentDoesNotAffectResults) {
   const RunResult serial = run_cluster(seed, 1, Timeline::kSubscribeOnly, false);
   const RunResult scattered = run_cluster(seed, 3, Timeline::kSubscribeOnly, true);
   expect_identical(serial, scattered, "seed " + std::to_string(seed) + " scattered");
+}
+
+TEST_P(ParallelSimTest, ArmedMonitorsDoNotChangeResults) {
+  // The order oracle only observes: arming it (which also moves the
+  // windowed schedule onto one thread) must not change a single
+  // delivery or metric, serially or on 4 shards. Group 1's subscribe to
+  // group 2's stream gives the cross-group check shared commands.
+  const uint64_t seed = GetParam();
+  const RunResult plain = run_cluster(seed, 1, Timeline::kSubscribeUnsubscribe, false);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (bool monitored : {false, true}) {
+      const RunResult run = run_cluster(seed, threads, Timeline::kSubscribeUnsubscribe,
+                                        false, monitored);
+      const std::string label = "seed " + std::to_string(seed) + " T" +
+                                std::to_string(threads) +
+                                (monitored ? " monitored" : " plain");
+      expect_identical(plain, run, label);
+      EXPECT_EQ(run.violations, 0u) << label;
+    }
+  }
 }
 
 TEST_P(ParallelSimTest, GeoTopologyMatchesSerialAcrossShardCounts) {

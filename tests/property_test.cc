@@ -8,7 +8,6 @@
 
 #include <algorithm>
 
-#include "checker/order_checker.h"
 #include "elastic/elastic_merger.h"
 #include "harness/kv_cluster.h"
 #include "tests/test_util.h"
@@ -124,6 +123,7 @@ TEST_P(MulticastPropertyTest, AcyclicOrderUnderRandomSchedules) {
   ClusterOptions options;
   options.seed = seed;
   Cluster cluster(options);
+  cluster.sim().monitors().set_enabled(true);
   if (rng.chance(0.5)) cluster.net().set_loss_probability(0.01);
 
   const size_t num_streams = 3;
@@ -134,21 +134,14 @@ TEST_P(MulticastPropertyTest, AcyclicOrderUnderRandomSchedules) {
   // subscriptions.
   struct Group {
     paxos::GroupId id;
-    std::vector<elastic::Replica*> members;
     std::vector<paxos::StreamId> subscribed;
   };
   std::vector<Group> groups;
-  checker::OrderChecker order;
   for (paxos::GroupId g = 1; g <= 2; ++g) {
     Group group;
     group.id = g;
     group.subscribed = {streams[rng.uniform(streams.size())]};
-    for (int m = 0; m < 2; ++m) {
-      auto* r = cluster.add_replica(g, group.subscribed);
-      r->set_delivery_listener([&order](net::NodeId n, const paxos::Command& c,
-                                        paxos::StreamId) { order.record(n, c.id); });
-      group.members.push_back(r);
-    }
+    for (int m = 0; m < 2; ++m) cluster.add_replica(g, group.subscribed);
     groups.push_back(std::move(group));
   }
 
@@ -193,16 +186,10 @@ TEST_P(MulticastPropertyTest, AcyclicOrderUnderRandomSchedules) {
   }
   cluster.run_for(5 * kSecond);
 
-  // Invariants: no duplicates, pairwise-consistent order everywhere,
-  // identical order within each group (prefix tolerated at the cut).
-  EXPECT_EQ(order.check_integrity(), "") << "seed " << seed;
-  EXPECT_EQ(order.check_pairwise_order(), "") << "seed " << seed;
-  for (const Group& group : groups) {
-    EXPECT_EQ(order.check_group_agreement(
-                  {group.members[0]->id(), group.members[1]->id()}, true),
-              "")
-        << "seed " << seed;
-  }
+  // Invariants, checked online by the order monitor: no duplicates,
+  // pairwise-consistent order across groups, identical order within
+  // each group (prefix tolerated at the cut).
+  EXPECT_TRUE(testing::monitors_clean(cluster)) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MulticastPropertyTest,

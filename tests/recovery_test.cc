@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "checker/order_checker.h"
 #include "paxos/acceptor.h"
 #include "tests/test_util.h"
 
@@ -173,15 +172,10 @@ TEST_F(RecoveryTest, ClusterRestartReplaysJournalAndKeepsOrder) {
   ClusterOptions options;
   options.storage = paxos::StoragePolicy::kDurable;
   Cluster cluster(options);
+  cluster.sim().monitors().set_enabled(true);
   const auto s1 = cluster.add_stream();
   auto* r1 = cluster.add_replica(1, {s1});
   auto* r2 = cluster.add_replica(1, {s1});
-
-  checker::OrderChecker order;
-  for (auto* r : {r1, r2}) {
-    r->set_delivery_listener([&order](NodeId n, const Command& c,
-                                      paxos::StreamId) { order.record(n, c.id); });
-  }
 
   LoadClient::Config cfg;
   cfg.threads = 4;
@@ -210,8 +204,8 @@ TEST_F(RecoveryTest, ClusterRestartReplaysJournalAndKeepsOrder) {
   client->stop();
   cluster.run_for(1 * kSecond);
 
-  EXPECT_EQ(order.sequence(r1->id()), order.sequence(r2->id()));
-  EXPECT_EQ(order.check_all(), "") << "replay must not reorder or duplicate";
+  EXPECT_EQ(r1->delivered(), r2->delivered());
+  EXPECT_TRUE(testing::monitors_clean(cluster)) << "replay must not reorder or duplicate";
 }
 
 // --- serial vs parallel engine differential ------------------------------

@@ -24,7 +24,6 @@ TEST_F(ReplicaTest, DeliveryDedupSuppressesDuplicateOrderings) {
   cfg.group = 1;
   cfg.initial_streams = {s1};
   cfg.params = cluster.options().params;
-  cfg.dedup_deliveries = true;
   auto* r1 = cluster.add_replica(cfg);
 
   // Propose the same command id twice, spaced past the coordinator TTL
@@ -40,27 +39,6 @@ TEST_F(ReplicaTest, DeliveryDedupSuppressesDuplicateOrderings) {
   cluster.run_for(1 * kSecond);
   EXPECT_EQ(cluster.coordinator(s1)->commands_proposed(), 2u) << "both copies ordered";
   EXPECT_EQ(r1->delivered(), 1u) << "but delivered once";
-}
-
-TEST_F(ReplicaTest, DedupDisabledDeliversBothCopies) {
-  Cluster cluster;
-  const auto s1 = cluster.add_stream();
-  elastic::Replica::Config cfg;
-  cfg.group = 1;
-  cfg.initial_streams = {s1};
-  cfg.params = cluster.options().params;
-  cfg.dedup_deliveries = false;
-  auto* r1 = cluster.add_replica(cfg);
-
-  paxos::Command cmd;
-  cmd.id = paxos::make_command_id(5, 1);
-  cmd.payload_size = 16;
-  const auto coord = cluster.directory().get(s1).coordinator;
-  cluster.controller().send(coord, net::make_message<paxos::ClientProposeMsg>(s1, cmd));
-  cluster.run_for(1 * kSecond);
-  cluster.controller().send(coord, net::make_message<paxos::ClientProposeMsg>(s1, cmd));
-  cluster.run_for(1 * kSecond);
-  EXPECT_EQ(r1->delivered(), 2u);
 }
 
 TEST_F(ReplicaTest, RepliesOnlyWhenConfigured) {

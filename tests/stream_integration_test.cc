@@ -3,7 +3,6 @@
 // feed the deterministic merger, replicas deliver and reply.
 #include <gtest/gtest.h>
 
-#include "checker/order_checker.h"
 #include "tests/test_util.h"
 
 namespace epx {
@@ -20,13 +19,10 @@ class StreamIntegrationTest : public ::testing::Test {
 
 TEST_F(StreamIntegrationTest, SingleStreamDeliversAllCommands) {
   Cluster cluster;
+  cluster.sim().monitors().set_enabled(true);
   const auto s1 = cluster.add_stream();
   auto* r1 = cluster.add_replica(/*group=*/1, {s1});
   auto* r2 = cluster.add_replica(/*group=*/1, {s1});
-
-  testing::DeliveryLog log;
-  log.attach(r1);
-  log.attach(r2);
 
   LoadClient::Config cfg;
   cfg.threads = 4;
@@ -41,21 +37,18 @@ TEST_F(StreamIntegrationTest, SingleStreamDeliversAllCommands) {
 
   EXPECT_GT(client->completed(), 100u) << "closed loop should turn over";
   EXPECT_EQ(r1->delivered(), r2->delivered());
-  EXPECT_EQ(log.sequence(r1->id()), log.sequence(r2->id()))
+  EXPECT_TRUE(testing::monitors_clean(cluster))
       << "same group must deliver identical sequences";
   EXPECT_GE(r1->delivered(), client->completed());
 }
 
 TEST_F(StreamIntegrationTest, TwoStreamsMergeDeterministically) {
   Cluster cluster;
+  cluster.sim().monitors().set_enabled(true);
   const auto s1 = cluster.add_stream();
   const auto s2 = cluster.add_stream();
   auto* r1 = cluster.add_replica(1, {s1, s2});
   auto* r2 = cluster.add_replica(1, {s1, s2});
-
-  testing::DeliveryLog log;
-  log.attach(r1);
-  log.attach(r2);
 
   LoadClient::Config cfg1;
   cfg1.threads = 3;
@@ -76,7 +69,8 @@ TEST_F(StreamIntegrationTest, TwoStreamsMergeDeterministically) {
 
   EXPECT_GT(c1->completed(), 50u);
   EXPECT_GT(c2->completed(), 50u);
-  EXPECT_EQ(log.sequence(r1->id()), log.sequence(r2->id()))
+  EXPECT_EQ(r1->delivered(), r2->delivered());
+  EXPECT_TRUE(testing::monitors_clean(cluster))
       << "deterministic merge must give identical merged sequences";
 }
 
@@ -125,14 +119,11 @@ TEST_F(StreamIntegrationTest, ProvisionedStreamStartsAfterDelay) {
 
 TEST_F(StreamIntegrationTest, DecisionsSurviveMessageLoss) {
   Cluster cluster;
+  cluster.sim().monitors().set_enabled(true);
   cluster.net().set_loss_probability(0.02);
   const auto s1 = cluster.add_stream();
   auto* r1 = cluster.add_replica(1, {s1});
   auto* r2 = cluster.add_replica(1, {s1});
-
-  testing::DeliveryLog log;
-  log.attach(r1);
-  log.attach(r2);
 
   LoadClient::Config cfg;
   cfg.threads = 4;
@@ -147,7 +138,8 @@ TEST_F(StreamIntegrationTest, DecisionsSurviveMessageLoss) {
   cluster.run_for(2 * kSecond);
 
   EXPECT_GT(client->completed(), 50u);
-  EXPECT_EQ(log.sequence(r1->id()), log.sequence(r2->id()));
+  EXPECT_EQ(r1->delivered(), r2->delivered());
+  EXPECT_TRUE(testing::monitors_clean(cluster));
 }
 
 TEST_F(StreamIntegrationTest, Figure1ArchitectureSharedStream) {
@@ -157,19 +149,14 @@ TEST_F(StreamIntegrationTest, Figure1ArchitectureSharedStream) {
   // replicas must order the shared commands consistently with their own
   // partition's commands (acyclic pairwise order).
   Cluster cluster;
+  cluster.sim().monitors().set_enabled(true);
   const auto s1 = cluster.add_stream();
   const auto s2 = cluster.add_stream();  // shared
   const auto s3 = cluster.add_stream();
-  auto* g1a = cluster.add_replica(1, {s1, s2});
-  auto* g1b = cluster.add_replica(1, {s1, s2});
-  auto* g2a = cluster.add_replica(2, {s2, s3});
-  auto* g2b = cluster.add_replica(2, {s2, s3});
-
-  checker::OrderChecker order;
-  for (auto* r : {g1a, g1b, g2a, g2b}) {
-    r->set_delivery_listener([&order](net::NodeId n, const paxos::Command& c,
-                                      paxos::StreamId) { order.record(n, c.id); });
-  }
+  cluster.add_replica(1, {s1, s2});
+  cluster.add_replica(1, {s1, s2});
+  cluster.add_replica(2, {s2, s3});
+  cluster.add_replica(2, {s2, s3});
 
   std::vector<harness::LoadClient*> clients;
   for (auto stream : {s1, s2, s3}) {
@@ -186,11 +173,8 @@ TEST_F(StreamIntegrationTest, Figure1ArchitectureSharedStream) {
   cluster.run_for(2 * kSecond);
 
   EXPECT_GT(clients[1]->completed(), 100u) << "shared stream must be answered";
-  EXPECT_EQ(order.check_integrity(), "");
-  EXPECT_EQ(order.check_pairwise_order(), "")
+  EXPECT_TRUE(testing::monitors_clean(cluster))
       << "shared-stream commands must be ordered consistently across groups";
-  EXPECT_EQ(order.check_group_agreement({g1a->id(), g1b->id()}, true), "");
-  EXPECT_EQ(order.check_group_agreement({g2a->id(), g2b->id()}, true), "");
 }
 
 }  // namespace

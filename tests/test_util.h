@@ -4,10 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <charconv>
-#include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "harness/cluster.h"
 #include "harness/load_client.h"
@@ -37,33 +34,15 @@ inline void init_logging() {
   }
 }
 
-/// Records the sequence of app commands delivered by each replica.
-class DeliveryLog {
- public:
-  void attach(elastic::Replica* replica) {
-    replica->set_delivery_listener(
-        [this](net::NodeId node, const paxos::Command& cmd, paxos::StreamId stream) {
-          // Listeners fire on shard worker threads under the parallel
-          // engine; the lock protects the map structure (each node's
-          // vectors still fill in that node's own delivery order).
-          std::lock_guard<std::mutex> lock(mu_);
-          sequences_[node].push_back(cmd.id);
-          streams_[node].push_back(stream);
-        });
-  }
-
-  const std::vector<uint64_t>& sequence(net::NodeId node) const {
-    static const std::vector<uint64_t> empty;
-    auto it = sequences_.find(node);
-    return it == sequences_.end() ? empty : it->second;
-  }
-
-  const std::map<net::NodeId, std::vector<uint64_t>>& all() const { return sequences_; }
-
- private:
-  std::mutex mu_;
-  std::map<net::NodeId, std::vector<uint64_t>> sequences_;
-  std::map<net::NodeId, std::vector<paxos::StreamId>> streams_;
-};
+/// Passes when the invariant monitors (obs/monitor.h), the suite's
+/// order oracle, saw no violation; the failure message carries every
+/// stored diagnostic. Arm them before adding replicas: only registered
+/// members are checked.
+inline ::testing::AssertionResult monitors_clean(harness::Cluster& cluster) {
+  const obs::MonitorHub& hub = cluster.sim().monitors();
+  if (hub.violation_count() == 0) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << hub.violation_count() << " monitor violation(s):\n" << hub.summary();
+}
 
 }  // namespace epx::testing
