@@ -20,7 +20,6 @@
 #include "harness/cluster.h"
 #include "harness/load_client.h"
 #include "kvstore/partition_map.h"
-#include "multicast/static_merger.h"
 #include "multicast/stream_queue.h"
 #include "net/message.h"
 #include "paxos/acceptor_store.h"
@@ -231,48 +230,6 @@ void BM_MergerPump(benchmark::State& state) {
   paxos::Command cmd;
   cmd.payload_size = 64;
   uint64_t id = 0;
-  std::vector<paxos::Proposal> round;
-  for (auto _ : state) {
-    round.clear();
-    round.reserve(static_cast<size_t>(num_streams));
-    for (int s = 0; s < num_streams; ++s) {
-      paxos::Proposal p;
-      p.first_slot = pos[static_cast<size_t>(s)]++;
-      cmd.id = ++id;
-      p.commands.push_back(cmd);
-      round.push_back(std::move(p));
-    }
-    // One frozen block per round instead of one freeze per proposal —
-    // the bulk feed path (see paxos::freeze_batch).
-    auto frozen = paxos::freeze_batch(std::move(round));
-    for (int s = 0; s < num_streams; ++s) {
-      merger.queue(streams[static_cast<size_t>(s)])
-          .push_proposal(frozen[static_cast<size_t>(s)]);
-    }
-    merger.pump();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(delivered));
-}
-BENCHMARK(BM_MergerPump)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-/// Per-proposal-freeze baseline for BM_MergerPump: identical feed and
-/// merge work, but each proposal is frozen into its own shared block
-/// (the pre-freeze_batch path). Kept, like BM_SlotLogStdMapBaseline,
-/// so the amortization stays measurable instead of anecdotal.
-void BM_MergerPumpPerProposalFreeze(benchmark::State& state) {
-  const int num_streams = static_cast<int>(state.range(0));
-  uint64_t delivered = 0;
-  elastic::ElasticMerger merger(
-      1, {[](paxos::StreamId) {}, [](paxos::StreamId) {},
-          [&](const paxos::Command&, paxos::StreamId) { ++delivered; },
-          [](const paxos::Command&) {}});
-  std::vector<paxos::StreamId> streams;
-  for (int s = 1; s <= num_streams; ++s) streams.push_back(static_cast<uint32_t>(s));
-  merger.bootstrap(streams);
-  std::vector<paxos::SlotIndex> pos(static_cast<size_t>(num_streams), 0);
-  paxos::Command cmd;
-  cmd.payload_size = 64;
-  uint64_t id = 0;
   for (auto _ : state) {
     for (int s = 0; s < num_streams; ++s) {
       paxos::Proposal p;
@@ -285,7 +242,7 @@ void BM_MergerPumpPerProposalFreeze(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(delivered));
 }
-BENCHMARK(BM_MergerPumpPerProposalFreeze)->Arg(4);
+BENCHMARK(BM_MergerPump)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_KeyHash(benchmark::State& state) {
   std::string key = "key0000012345";
@@ -442,10 +399,13 @@ void BM_BulkSkipMerge(benchmark::State& state) {
   const int num_streams = static_cast<int>(state.range(0));
   const uint64_t run = static_cast<uint64_t>(state.range(1));
   uint64_t delivered = 0;
+  elastic::ElasticMerger merger(
+      1, {[](paxos::StreamId) {}, [](paxos::StreamId) {},
+          [&](const paxos::Command&, paxos::StreamId) { ++delivered; },
+          [](const paxos::Command&) {}});
   std::vector<paxos::StreamId> streams;
   for (int s = 1; s <= num_streams; ++s) streams.push_back(static_cast<uint32_t>(s));
-  multicast::StaticMerger merger(streams,
-                                 [&](const paxos::Command&, paxos::StreamId) { ++delivered; });
+  merger.bootstrap(streams);
   paxos::SlotIndex pos = 0;
   paxos::Command cmd;
   cmd.payload_size = 64;

@@ -183,7 +183,6 @@ void Replica::on_deliver(const Command& cmd, StreamId stream) {
 
 void Replica::on_control(const Command& cmd) {
   EPX_DEBUG << name() << ": control " << cmd.debug_string() << " took effect";
-  if (control_handler_) control_handler_(cmd);
 }
 
 }  // namespace epx::elastic

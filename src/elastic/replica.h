@@ -45,8 +45,6 @@ class Replica : public sim::Process {
 
   /// Application execution hook, called in merged delivery order.
   using AppHandler = std::function<void(const Command&, StreamId)>;
-  /// Notification of control commands that took effect at this replica.
-  using ControlHandler = std::function<void(const Command&)>;
   /// Test/checker tap observing every delivered app command.
   using DeliveryListener = std::function<void(NodeId, const Command&, StreamId)>;
 
@@ -57,7 +55,6 @@ class Replica : public sim::Process {
   void start();
 
   void set_app_handler(AppHandler handler) { app_handler_ = std::move(handler); }
-  void set_control_handler(ControlHandler handler) { control_handler_ = std::move(handler); }
   void set_delivery_listener(DeliveryListener listener) {
     delivery_listener_ = std::move(listener);
   }
@@ -83,7 +80,6 @@ class Replica : public sim::Process {
   // `replica.delivered{node=,stream=}` per stream) and
   // `replica.bytes{node=}`.
   uint64_t delivered() const { return delivered_total_->total(); }
-  uint64_t delivered_bytes() const { return delivered_bytes_->total(); }
   const WindowedCounter& delivery_series() const { return delivered_total_->series(); }
 
  protected:
@@ -113,7 +109,6 @@ class Replica : public sim::Process {
   std::map<StreamId, std::unique_ptr<paxos::Learner>> learners_;
 
   AppHandler app_handler_;
-  ControlHandler control_handler_;
   DeliveryListener delivery_listener_;
 
   // Registry-owned handles; the per-stream handles are cached in a flat

@@ -37,12 +37,8 @@ void LoadClient::issue(size_t thread_index) {
   if (!running_) return;
   const uint64_t cmd_id = paxos::make_command_id(id(), seq_++);
   paxos::Command cmd;
-  if (config_.make_command) {
-    cmd = config_.make_command(cmd_id);
-  } else {
-    cmd.kind = paxos::CommandKind::kApp;
-    cmd.payload_size = config_.payload_bytes;
-  }
+  cmd.kind = paxos::CommandKind::kApp;
+  cmd.payload_size = config_.payload_bytes;
   cmd.id = cmd_id;
   cmd.client = id();
 
@@ -52,12 +48,11 @@ void LoadClient::issue(size_t thread_index) {
   t.outstanding = true;
   inflight_[cmd_id] = thread_index;
   commands_[cmd_id] = cmd;
-  send_current(thread_index, cmd);
+  send_current(cmd);
   arm_timeout(thread_index, cmd_id);
 }
 
-void LoadClient::send_current(size_t thread_index, const paxos::Command& cmd) {
-  (void)thread_index;
+void LoadClient::send_current(const paxos::Command& cmd) {
   const StreamId stream = config_.route();
   if (!directory_->has(stream)) return;
   if (spans().enabled()) {
@@ -77,7 +72,7 @@ void LoadClient::arm_timeout(size_t thread_index, uint64_t cmd_id) {
     retries_->add(now());
     auto it = commands_.find(cmd_id);
     if (it == commands_.end()) return;
-    send_current(thread_index, it->second);  // route re-evaluated
+    send_current(it->second);  // route re-evaluated
     arm_timeout(thread_index, cmd_id);
   });
 }

@@ -33,9 +33,6 @@ class LoadClient : public sim::Process {
     /// Chooses the stream for each (re)send. Re-evaluated on retry so
     /// clients follow partition-map changes.
     std::function<StreamId()> route;
-    /// Optional custom command factory (payload routing for KV tests);
-    /// defaults to a synthetic app command of payload_bytes.
-    std::function<paxos::Command(uint64_t cmd_id)> make_command;
     Tick retry_timeout = 1 * kSecond;
     Tick think_time = 0;
   };
@@ -69,7 +66,7 @@ class LoadClient : public sim::Process {
   };
 
   void issue(size_t thread_index);
-  void send_current(size_t thread_index, const paxos::Command& cmd);
+  void send_current(const paxos::Command& cmd);
   void arm_timeout(size_t thread_index, uint64_t cmd_id);
 
   const paxos::StreamDirectory* directory_;

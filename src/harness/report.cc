@@ -25,6 +25,21 @@ void append_column_headers(std::string* out, const std::vector<Column>& columns)
   *out += '\n';
 }
 
+/// Cell of a window that aged out of its instrument's ring: unknown,
+/// which is not the same as zero.
+void append_aged_out(std::string* out, bool* any_aged_out) {
+  appendf(out, " %12s", "-");
+  *any_aged_out = true;
+}
+
+void append_aged_out_note(std::string* out, bool any_aged_out) {
+  if (!any_aged_out) return;
+  appendf(out,
+          "(-: aged out of the newest %zu windows kept in memory; "
+          "--telemetry-out records the whole run)\n",
+          WindowRing<uint64_t>::kCapacity);
+}
+
 }  // namespace
 
 void print_header(const std::string& title) {
@@ -37,17 +52,22 @@ std::string render_rate_table(const obs::MetricsRegistry& metrics,
                               Tick to) {
   std::string out = header_text(title);
   append_column_headers(&out, columns);
+  bool aged_out = false;
   for (Tick t = from; t < to; t += kSecond) {
+    const auto idx = static_cast<size_t>(t / kSecond);
     appendf(&out, "%6lld", static_cast<long long>(t / kSecond));
     for (const auto& c : columns) {
       const obs::Counter* counter = metrics.find_counter(c.metric);
-      const double rate =
-          counter != nullptr ? counter->series().rate_at(static_cast<size_t>(t / kSecond))
-                             : 0.0;
+      if (counter != nullptr && idx < counter->series().first_retained()) {
+        append_aged_out(&out, &aged_out);
+        continue;
+      }
+      const double rate = counter != nullptr ? counter->series().rate_at(idx) : 0.0;
       appendf(&out, " %12.1f", rate * c.scale);
     }
     out += '\n';
   }
+  append_aged_out_note(&out, aged_out);
   return out;
 }
 
@@ -62,10 +82,16 @@ std::string render_cpu_table(const obs::MetricsRegistry& metrics,
                              Tick to) {
   std::string out = header_text(title);
   append_column_headers(&out, columns);
+  bool aged_out = false;
   for (Tick t = from; t < to; t += kSecond) {
+    const auto idx = static_cast<size_t>(t / kSecond);
     appendf(&out, "%6lld", static_cast<long long>(t / kSecond));
     for (const auto& c : columns) {
       const obs::Counter* busy = metrics.find_counter(c.metric);
+      if (busy != nullptr && idx < busy->series().first_retained()) {
+        append_aged_out(&out, &aged_out);
+        continue;
+      }
       const double util =
           busy != nullptr
               ? static_cast<double>(busy->series().total_in(t, t + kSecond)) /
@@ -75,6 +101,7 @@ std::string render_cpu_table(const obs::MetricsRegistry& metrics,
     }
     out += '\n';
   }
+  append_aged_out_note(&out, aged_out);
   return out;
 }
 
@@ -89,11 +116,16 @@ std::string render_latency_table(const obs::MetricsRegistry& metrics,
                                  Tick from, Tick to) {
   std::string out = header_text(title);
   append_column_headers(&out, columns);
+  bool aged_out = false;
   for (Tick t = from; t < to; t += kSecond) {
+    const auto idx = static_cast<size_t>(t / kSecond);
     appendf(&out, "%6lld", static_cast<long long>(t / kSecond));
     for (const auto& c : columns) {
       const obs::Timer* timer = metrics.find_timer(c.metric);
-      const auto idx = static_cast<size_t>(t / kSecond);
+      if (timer != nullptr && idx < timer->first_retained()) {
+        append_aged_out(&out, &aged_out);
+        continue;
+      }
       double ms = 0.0;
       const Histogram* h =
           timer == nullptr ? nullptr : timer->window_at(idx);
@@ -104,6 +136,7 @@ std::string render_latency_table(const obs::MetricsRegistry& metrics,
     }
     out += '\n';
   }
+  append_aged_out_note(&out, aged_out);
   return out;
 }
 

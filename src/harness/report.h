@@ -10,7 +10,10 @@
 // obs::metric_key) and every renderer resolves the key at print time.
 // A metric that does not exist — a role was never instantiated, or was
 // destroyed mid-run by an elastic unsubscribe — renders as 0.0 instead
-// of chasing a dangling pointer into freed role state.
+// of chasing a dangling pointer into freed role state. A window older
+// than the instruments' bounded ring (util/timeseries.h) renders as
+// "-", and the table ends with one note pointing at --telemetry-out,
+// which records a run of any length.
 #pragma once
 
 #include <string>

@@ -40,7 +40,6 @@ void StreamQueue::push_proposal(const ProposalPtr& p) {
     e.next_cmd = static_cast<uint32_t>(clip_from - base);
     e.end_cmd = static_cast<uint32_t>(p->commands.size());
     e.skips = end - cmd_end;
-    values_pushed_ += e.end_cmd - e.next_cmd;
     entries_.push_back(std::move(e));
   } else {
     // Pure skip run (commands clipped away or batch was all skips).

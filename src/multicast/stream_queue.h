@@ -81,9 +81,6 @@ class StreamQueue {
   /// Number of slots currently buffered.
   uint64_t buffered_slots() const { return buffered_; }
 
-  /// Total value slots ever pushed (after clipping).
-  uint64_t values_pushed() const { return values_pushed_; }
-
  private:
   /// One buffered slice of a proposal: commands [next_cmd, end_cmd) of
   /// `prop`, followed by `skips` skip slots. A pure skip run has
@@ -100,7 +97,6 @@ class StreamQueue {
   SlotIndex next_index_ = 0;
   bool initialized_ = false;
   uint64_t buffered_ = 0;
-  uint64_t values_pushed_ = 0;
 };
 
 }  // namespace epx::multicast

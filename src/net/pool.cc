@@ -55,7 +55,6 @@ void EnvelopePool::trim() {
 // Pass-through under sanitizers: every envelope is a distinct allocation
 // so ASan sees the true object lifetimes.
 void* EnvelopePool::allocate(std::size_t bytes) {
-  ++oversize_;
   return ::operator new(bytes);
 }
 
@@ -68,16 +67,11 @@ void EnvelopePool::deallocate(void* p, std::size_t bytes) noexcept {
 
 void* EnvelopePool::allocate(std::size_t bytes) {
   const std::size_t cls = size_class(bytes);
-  if (cls > kClasses) {
-    ++oversize_;
-    return ::operator new(bytes);
-  }
+  if (cls > kClasses) return ::operator new(bytes);
   if (FreeNode* n = buckets_[cls]) {
     buckets_[cls] = n->next;
-    ++reused_;
     return n;
   }
-  ++fresh_;
   return ::operator new(cls * kGranularity);
 }
 

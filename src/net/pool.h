@@ -40,11 +40,6 @@ class EnvelopePool {
   /// envelopes are unaffected). Runs automatically when a thread exits.
   void trim();
 
-  // --- stats -------------------------------------------------------------
-  uint64_t reused() const { return reused_; }     ///< freelist hits
-  uint64_t fresh() const { return fresh_; }       ///< new blocks carved
-  uint64_t oversize() const { return oversize_; } ///< fell through to new
-
  private:
   EnvelopePool() = default;
 
@@ -60,9 +55,6 @@ class EnvelopePool {
   }
 
   FreeNode* buckets_[kClasses + 1] = {};
-  uint64_t reused_ = 0;
-  uint64_t fresh_ = 0;
-  uint64_t oversize_ = 0;
 };
 
 /// Minimal allocator adapter so std::allocate_shared draws envelope

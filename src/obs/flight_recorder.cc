@@ -7,6 +7,9 @@ namespace epx::obs {
 
 namespace {
 
+/// Trailing trace-ring events kept in a dump.
+constexpr size_t kMaxTraceEvents = 512;
+
 void append_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
     if (c == '"' || c == '\\') {
@@ -41,7 +44,8 @@ std::string FlightRecorder::dump(const std::string& reason, Tick now) {
   out += "\"trace\": [";
   if (trace_ != nullptr) {
     const auto events = trace_->events();
-    const size_t first = events.size() > max_trace_events_ ? events.size() - max_trace_events_ : 0;
+    const size_t first =
+        events.size() > kMaxTraceEvents ? events.size() - kMaxTraceEvents : 0;
     for (size_t i = first; i < events.size(); ++i) {
       const TraceEvent& ev = events[i];
       appendf(out,

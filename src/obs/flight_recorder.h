@@ -11,7 +11,7 @@
 //     "reason":      why the dump was taken,
 //     "sim_time_ns": virtual time of the dump,
 //     "dump_seq":    per-recorder sequence number,
-//     "trace":       the last-N protocol trace-ring events,
+//     "trace":       the last 512 protocol trace-ring events,
 //     "queue_depths": per-node inbox depth + high-water mark
 //                     (from the `inbox.depth{node=...}` gauges),
 //     "telemetry":   the last-N scraped windows of every stored series
@@ -58,10 +58,6 @@ class FlightRecorder {
   /// Path prefix for dump files; `<prefix><seq>.json`. Empty (the
   /// default) disables writing — dump() only builds the JSON.
   void set_path_prefix(std::string prefix) { path_prefix_ = std::move(prefix); }
-  const std::string& path_prefix() const { return path_prefix_; }
-
-  /// Keep at most this many trailing trace-ring events in a dump.
-  void set_max_trace_events(size_t n) { max_trace_events_ = n; }
 
   /// Takes a snapshot. Returns the dump JSON; writes it to
   /// `<prefix><seq>.json` when a prefix is set.
@@ -77,7 +73,6 @@ class FlightRecorder {
   const TimeSeriesStore* telemetry_ = nullptr;
   size_t max_telemetry_windows_ = 32;
   std::string path_prefix_;
-  size_t max_trace_events_ = 512;
   uint64_t dumps_ = 0;
   std::string last_path_;
 };

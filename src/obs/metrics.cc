@@ -105,9 +105,16 @@ std::string MetricsRegistry::to_json(bool include_series) const {
     out += ": {\"type\": \"counter\", \"total\": ";
     out += std::to_string(c->total());
     if (include_series && c->series().size() > 0) {
+      // Only retained windows; runs past the ring's reach say where the
+      // array starts.
+      const size_t first_window = c->series().first_retained();
+      if (first_window > 0) {
+        out += ", \"first_window\": ";
+        out += std::to_string(first_window);
+      }
       out += ", \"rate_per_sec\": [";
-      for (size_t i = 0; i < c->series().size(); ++i) {
-        if (i > 0) out += ", ";
+      for (size_t i = first_window; i < c->series().size(); ++i) {
+        if (i > first_window) out += ", ";
         append_double(out, c->series().rate_at(i));
       }
       out += ']';

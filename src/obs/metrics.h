@@ -97,6 +97,8 @@ class Timer {
   /// One past the newest window index started so far (0 before the
   /// first record) — the bound report loops iterate to.
   size_t window_count() const { return windows_.size(); }
+  /// Oldest window still held; window_at() is nullptr below it.
+  size_t first_retained() const { return windows_.first_retained(); }
 
   /// Histogram for window `idx`, or nullptr when the window aged out of
   /// the ring or lies beyond the newest recorded window. Callers treat

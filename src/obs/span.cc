@@ -63,40 +63,23 @@ void append_complete(std::string& out, const char* name, Tick start, Tick dur,
 
 }  // namespace
 
-const char* span_stage_name(SpanStage stage) {
-  switch (stage) {
-    case SpanStage::kClientSend: return "client_send";
-    case SpanStage::kPropose: return "propose";
-    case SpanStage::kDecide: return "decide";
-    case SpanStage::kDurable: return "durable";
-    case SpanStage::kLearn: return "learn";
-    case SpanStage::kDeliver: return "deliver";
-    case SpanStage::kApply: return "apply";
-    case SpanStage::kReply: return "reply";
-  }
-  return "?";
-}
-
 void SpanCollector::record_impl(uint64_t trace, SpanStage stage, Tick now,
                                 uint32_t node, uint32_t stream, Tick duration) {
   auto it = live_.find(trace);
   if (it == live_.end()) {
-    if (live_.size() >= max_live_) {
+    if (live_.size() >= max_live_ && !live_order_.empty()) {
       // Evict the oldest live span (almost surely long complete).
-      while (live_evict_ < live_order_.size()) {
-        const uint64_t victim = live_order_[live_evict_++];
-        auto vit = live_.find(victim);
-        if (vit == live_.end()) continue;  // already evicted and re-created
-        if (victim % sample_every_ == 0) {
-          if (retired_.size() < max_retired_) {
-            retired_.emplace_back(victim, std::move(vit->second));
-          } else {
-            ++dropped_spans_;  // sampled but lost for export
-          }
+      const uint64_t victim = live_order_.front();
+      live_order_.pop_front();
+      auto vit = live_.find(victim);
+      if (victim % sample_every_ == 0) {
+        if (retired_.size() < max_retired_) {
+          retired_.emplace_back(victim, std::move(vit->second));
+        } else {
+          ++dropped_spans_;  // sampled but lost for export
         }
-        live_.erase(vit);
-        break;
       }
+      live_.erase(vit);
     }
     it = live_.emplace(trace, SpanRecord{}).first;
     live_order_.push_back(trace);
@@ -325,7 +308,6 @@ size_t SpanCollector::export_chrome_trace(const std::string& path, const Trace* 
 void SpanCollector::clear() {
   live_.clear();
   live_order_.clear();
-  live_evict_ = 0;
   retired_.clear();
   recorded_events_ = 0;
   dropped_spans_ = 0;

@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -59,8 +60,6 @@ enum class SpanStage : uint8_t {
   kReply,           ///< client receives the reply
 };
 inline constexpr size_t kSpanStageCount = 8;
-
-const char* span_stage_name(SpanStage stage);
 
 /// Stream value for stages that do not know their stream (kReply); the
 /// collector inherits the stream of the span's first event instead.
@@ -109,6 +108,9 @@ class SpanCollector {
 
   /// Spans still in the live table (unit tests; export uses both lists).
   const std::map<uint64_t, SpanRecord>& live() const { return live_; }
+  /// Length of the eviction queue; equals live().size() (pinned by the
+  /// bounded-memory regression test).
+  size_t eviction_queue_size() const { return live_order_.size(); }
 
   uint64_t recorded_events() const { return recorded_events_; }
   /// Sampled spans that were lost for export: evicted from the live
@@ -140,8 +142,7 @@ class SpanCollector {
   size_t max_retired_ = 1 << 16;
 
   std::map<uint64_t, SpanRecord> live_;
-  std::vector<uint64_t> live_order_;  ///< creation order, eviction queue
-  size_t live_evict_ = 0;             ///< next live_order_ index to evict
+  std::deque<uint64_t> live_order_;  ///< live ids in creation order, oldest first
   std::vector<std::pair<uint64_t, SpanRecord>> retired_;
   uint64_t recorded_events_ = 0;
   uint64_t dropped_spans_ = 0;

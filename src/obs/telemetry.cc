@@ -293,18 +293,6 @@ double TimeSeriesStore::aggregate_latest(std::string_view prefix, int field) con
 
 // --- SloEngine -------------------------------------------------------------
 
-SloRule SloRule::timer_p99(std::string id, std::string metric, Tick limit,
-                           uint32_t windows) {
-  SloRule r;
-  r.id = std::move(id);
-  r.metric = std::move(metric);
-  r.field = 3;
-  r.op = Op::kGt;
-  r.threshold = static_cast<double>(limit);
-  r.windows = windows;
-  return r;
-}
-
 SloRule SloRule::gauge_max(std::string id, std::string metric, double limit,
                            uint32_t windows) {
   SloRule r;

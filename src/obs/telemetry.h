@@ -256,9 +256,6 @@ struct SloRule {
   bool as_rate = false;
 
   // Common shapes, so call sites read like the SLO they encode.
-  /// p99(timer) must stay under `limit` ticks for `windows` windows.
-  static SloRule timer_p99(std::string id, std::string metric, Tick limit,
-                           uint32_t windows = 1);
   /// A gauge's high-water mark must stay under `limit`.
   static SloRule gauge_max(std::string id, std::string metric, double limit,
                            uint32_t windows = 1);

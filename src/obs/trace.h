@@ -81,7 +81,6 @@ class Trace {
   /// overwrite, so a run timeline can annotate its full duration however
   /// long the run. Bounded by kMaxAnnotations (drops counted).
   void set_annotation_capture(bool on) { annotate_ = on; }
-  bool annotation_capture() const { return annotate_; }
   std::vector<TraceEvent> annotations() const {
     std::lock_guard<std::mutex> lock(mu_);
     return annotations_;

@@ -48,12 +48,6 @@ bool Acceptor::has_decided(InstanceId instance) const {
   return e != nullptr && e->decided;
 }
 
-const Proposal* Acceptor::decided_value(InstanceId instance) const {
-  const Entry* e = log_.find(instance);
-  if (e == nullptr || !e->decided) return nullptr;
-  return e->value.get();
-}
-
 void Acceptor::on_message(NodeId from, const MessagePtr& msg) {
   switch (msg->type()) {
     case MsgType::kPhase1a:

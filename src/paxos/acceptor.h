@@ -66,7 +66,6 @@ class Acceptor : public sim::Process {
   InstanceId decided_contiguous() const { return decided_contiguous_; }
   size_t log_size() const { return log_.size(); }
   bool has_decided(InstanceId instance) const;
-  const Proposal* decided_value(InstanceId instance) const;
   size_t learner_count() const { return learners_.size(); }
 
  protected:

@@ -136,8 +136,6 @@ class WalAcceptorStore final : public AcceptorStore {
   // --- introspection (tests, benches) -----------------------------------
   /// Records in the durable journal (post-compaction).
   size_t journal_records() const { return len_; }
-  /// Durable journal size in modelled bytes — what replay reads back.
-  uint64_t journal_bytes() const { return journal_bytes_; }
   /// Appends cut but not yet covered by a completed flush.
   size_t pending_records() const { return pending_.size(); }
   uint64_t compactions() const { return compactions_->total(); }

@@ -63,7 +63,6 @@ class Learner {
   /// True once the learner has drained the acceptors' backlog and is
   /// running on live decisions only.
   bool caught_up() const { return caught_up_; }
-  uint64_t proposals_delivered() const { return delivered_->total(); }
   /// Allocated slots of the dense pending ring — bounded by
   /// pending_span(), never by the absolute instance id (pinned by the
   /// elastic-subscribe regression test).

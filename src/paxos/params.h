@@ -39,10 +39,10 @@ struct Params {
   // --- recovery ------------------------------------------------------------
   size_t recover_chunk = 128;       ///< instances per RecoverReply
   Tick learner_gap_timeout = 20 * kMillisecond;
-  Tick client_retry_timeout = 1 * kSecond;  ///< paper §VII-D: ~1 s re-send
   /// Coordinator suppresses duplicate command ids younger than this;
-  /// must stay below client_retry_timeout so genuine re-sends get
-  /// re-ordered.
+  /// must stay below the clients' retry timeout (LoadClient::Config and
+  /// kv::KvClient::Config retry_timeout, ~1 s as in paper §VII-D) so
+  /// genuine re-sends get re-ordered.
   Tick dedup_ttl = 600 * kMillisecond;
 
   // --- log trimming (paper §VI) --------------------------------------------

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "paxos/types.h"
-#include "util/sorted.h"
 
 namespace epx::paxos {
 
@@ -36,10 +35,6 @@ class StreamDirectory {
   void set_coordinator(StreamId id, NodeId coordinator) {
     streams_.at(id).coordinator = coordinator;
   }
-
-  /// Ids in ascending order: callers iterate the result to send or
-  /// provision, so the order must not depend on hash-table state.
-  std::vector<StreamId> stream_ids() const { return util::sorted_keys(streams_); }
 
  private:
   std::unordered_map<StreamId, StreamInfo> streams_;

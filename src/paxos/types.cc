@@ -100,19 +100,6 @@ ProposalPtr make_proposal(Proposal&& p) {
                                               std::move(p));
 }
 
-std::vector<ProposalPtr> freeze_batch(std::vector<Proposal>&& batch) {
-  std::vector<ProposalPtr> out;
-  if (batch.empty()) return out;
-  // One shared block owns the whole vector; each returned pointer is an
-  // aliasing shared_ptr into it, so the batch lives until the last
-  // proposal's last reference drops.
-  auto block = std::allocate_shared<const std::vector<Proposal>>(
-      net::PoolAllocator<const std::vector<Proposal>>(), std::move(batch));
-  out.reserve(block->size());
-  for (const Proposal& p : *block) out.emplace_back(block, &p);
-  return out;
-}
-
 const ProposalPtr& empty_proposal() {
   static const ProposalPtr kEmpty = std::make_shared<const Proposal>();
   return kEmpty;

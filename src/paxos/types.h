@@ -94,8 +94,6 @@ struct Proposal {
   /// alignment depends on it).
   SlotIndex first_slot = 0;
 
-  bool is_noop() const { return commands.empty() && skip_slots == 0; }
-  bool is_skip() const { return commands.empty() && skip_slots > 0; }
   uint64_t slot_count() const { return commands.size() + skip_slots; }
 
   size_t encoded_size() const;
@@ -111,14 +109,6 @@ using ProposalPtr = std::shared_ptr<const Proposal>;
 
 /// Freezes a fully-built proposal into pool-backed shared storage.
 ProposalPtr make_proposal(Proposal&& p);
-
-/// Freezes a whole batch of proposals at once: one pool-backed shared
-/// block holds every proposal, and the returned pointers alias into it.
-/// One allocation (plus the vector's moved buffer) instead of one
-/// control-block-and-object allocation per proposal — the bulk feed
-/// path for learner catch-up and synthetic merger benchmarks, where the
-/// per-proposal freeze dominates the pump cost.
-std::vector<ProposalPtr> freeze_batch(std::vector<Proposal>&& batch);
 
 /// Shared immutable no-op, used as the default value of proposal-
 /// carrying messages so a default-constructed message still encodes to

@@ -156,17 +156,6 @@ struct TelemetrySampleMsg final : Message {
     }
   }
   static std::shared_ptr<Message> decode(Reader& r);
-
-  /// The sample view the store/SLO layers consume.
-  obs::TelemetrySample to_sample() const {
-    obs::TelemetrySample s;
-    s.node = node;
-    s.seq = seq;
-    s.window_start = window_start;
-    s.window_end = window_end;
-    s.points = points;
-    return s;
-  }
 };
 
 void register_registry_messages();

@@ -51,7 +51,7 @@ void MonitorService::on_violation(const obs::SloViolation& v) {
   EPX_WARN << name() << ": SLO " << v.rule << " breached by " << v.key << " at "
            << format_duration(v.time);
   if (dumped_) return;
-  if (sim().parallel()) {
+  if (sim().threads() > 1) {
     // The recorder snapshots the whole registry; only safe with every
     // shard quiescent. Remember the first breach and dump at the next
     // flush point (end of run_for/run_until).

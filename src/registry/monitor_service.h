@@ -99,7 +99,6 @@ class TelemetryAgent {
   /// listener; a pending pre-crash tick was epoch-cancelled by the crash.
   void start();
 
-  uint64_t samples_sent() const { return seq_; }
   Tick interval() const { return options_.interval; }
 
  private:

@@ -121,11 +121,6 @@ class EventQueue {
   /// Destroys every pending event without running it.
   void clear();
 
-  // --- introspection (benches / tests) ----------------------------------
-  /// Slab chunks allocated so far (each holds kChunkNodes records).
-  size_t slab_chunks() const { return chunks_.size(); }
-  /// Events that missed the wheel window and went to the overflow heap.
-  uint64_t far_inserts() const { return far_inserts_; }
   /// Callback captures up to this size are stored inline (no allocation).
   static constexpr size_t kInlineBytes = 80;
   /// Bit position of the EventClass within the ordering seq; the low 62
@@ -221,7 +216,6 @@ class EventQueue {
       slots_[idx] = n;
       occupied_[idx >> 6] |= uint64_t{1} << (idx & 63);
     } else {
-      ++far_inserts_;
       far_.push_back(Entry{n->time, n->seq, n});
       std::push_heap(far_.begin(), far_.end(), After{});
     }
@@ -285,7 +279,6 @@ class EventQueue {
 
   uint64_t next_seq_ = 0;
   size_t size_ = 0;
-  uint64_t far_inserts_ = 0;
 };
 
 }  // namespace epx::sim

@@ -209,7 +209,7 @@ Network::CounterStage& Network::stage_for(Tick at) {
 }
 
 void Network::count_sent(Tick at, uint64_t bytes) {
-  if (sim_->in_shard_context() && sim_->parallel()) {
+  if (sim_->in_shard_context()) {
     CounterStage& s = stage_for(at);
     s.sent += 1;
     s.bytes += bytes;
@@ -220,7 +220,7 @@ void Network::count_sent(Tick at, uint64_t bytes) {
 }
 
 void Network::count_dropped(Tick at) {
-  if (sim_->in_shard_context() && sim_->parallel()) {
+  if (sim_->in_shard_context()) {
     stage_for(at).dropped += 1;
     return;
   }
@@ -335,7 +335,7 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg, Tick earliest) {
   const Tick arrival = depart + tx_time + link.latency + jitter;
   const uint64_t seq = sender_seq_[from]++;
 
-  if (sim_->in_shard_context() && sim_->parallel()) {
+  if (sim_->in_shard_context()) {
     const size_t src_shard = sim_->executing_shard_index();
     // Cross-shard (or beyond the pre-sized channel vector, which only a
     // barrier-time resize may grow): stage for the next barrier. The

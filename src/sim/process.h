@@ -81,8 +81,6 @@ class Process {
   // holds the handle, the registry owns the storage.
   /// Total virtual CPU time consumed.
   Tick busy_total() const { return static_cast<Tick>(cpu_busy_->total()); }
-  /// Busy nanoseconds recorded per 1s window, for utilisation series.
-  const WindowedCounter& busy_series() const { return cpu_busy_->series(); }
   /// Utilisation (0..1) over [from, to).
   double utilization(Tick from, Tick to) const;
 

@@ -108,7 +108,6 @@ class Simulation {
   /// happens at attach time); n <= 1 selects the serial engine.
   void set_threads(size_t n);
   size_t threads() const { return threads_; }
-  bool parallel() const { return threads_ > 1; }
 
   /// Overrides the NodeId -> shard mapping (defaults to id % threads).
   /// The mapping affects performance only: delivery order and metrics
@@ -187,8 +186,6 @@ class Simulation {
 
   /// Windowed-engine counters (all zero after pure-serial runs).
   const EngineStats& engine_stats() const { return engine_stats_; }
-
-  EventQueue& event_queue() { return queue_; }
 
   // --- observability ---------------------------------------------------
   // The simulation owns the metrics registry and the protocol trace

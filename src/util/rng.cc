@@ -1,7 +1,5 @@
 #include "util/rng.h"
 
-#include <cmath>
-
 namespace epx {
 
 uint64_t splitmix64(uint64_t& state) {
@@ -54,14 +52,5 @@ bool Rng::chance(double probability) {
   if (probability >= 1.0) return true;
   return uniform_double() < probability;
 }
-
-double Rng::exponential(double mean) {
-  double u = uniform_double();
-  // Guard against log(0).
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -mean * std::log(u);
-}
-
-Rng Rng::fork() { return Rng(next()); }
 
 }  // namespace epx

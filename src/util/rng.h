@@ -32,13 +32,6 @@ class Rng {
   /// true with the given probability (clamped to [0, 1]).
   bool chance(double probability);
 
-  /// Exponentially distributed value with the given mean (> 0).
-  double exponential(double mean);
-
-  /// Derives an independent child generator; useful to give each process
-  /// its own stream of randomness while keeping global determinism.
-  Rng fork();
-
  private:
   uint64_t state_[4];
 };

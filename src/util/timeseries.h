@@ -28,8 +28,9 @@ namespace epx {
 ///     reach.
 ///   * A jump wider than the ring ages every retained window out at once;
 ///     the slots are reset in place and the gap is never allocated.
-///   * Windows that aged out read as absent (find() == nullptr), which
-///     every consumer treats the same as an empty window.
+///   * Windows that aged out read as absent (find() == nullptr). Sums
+///     treat them as empty; reports ask first_retained() so they can
+///     print an aged-out window as missing instead of as zero.
 template <typename Slot>
 class WindowRing {
  public:
@@ -48,6 +49,10 @@ class WindowRing {
   /// One past the newest window index started so far (0 before the
   /// first touch).
   size_t size() const { return ring_.empty() ? 0 : last_ + 1; }
+
+  /// Oldest window index the ring still holds (0 before the first
+  /// touch); windows below it aged out.
+  size_t first_retained() const { return ring_.empty() ? 0 : first_; }
 
   /// Slot of window `idx`, or nullptr when it aged out of the ring or
   /// lies beyond the newest window.
@@ -123,6 +128,8 @@ class WindowedCounter {
 
   /// Number of complete-or-started windows so far.
   size_t size() const { return windows_.size(); }
+  /// Oldest window still held; count_at() reads 0 below it.
+  size_t first_retained() const { return windows_.first_retained(); }
 
   /// Raw count in window i (0 once the window aged out of the ring).
   uint64_t count_at(size_t i) const {

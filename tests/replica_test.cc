@@ -1,9 +1,11 @@
 // Replica-host unit tests: delivery dedup, reply policy, crash
-// behaviour, and equivalence of the elastic merger with the static
-// baseline when subscriptions never change.
+// behaviour, and the elastic merger's lock-step order when
+// subscriptions never change.
 #include <gtest/gtest.h>
 
-#include "multicast/static_merger.h"
+#include <map>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace epx {
@@ -84,42 +86,53 @@ TEST_F(ReplicaTest, CrashStopsDeliveryPermanently) {
 }
 
 TEST_F(ReplicaTest, ElasticMergerMatchesStaticBaselineWhenStatic) {
-  // With subscriptions fixed, the elastic merger must be
-  // indistinguishable from classic Multi-Ring Paxos' static merge.
-  Rng rng(42);
-  std::vector<uint64_t> elastic_out, static_out;
+  // With subscriptions fixed, the elastic merger must deliver the static
+  // lock-step order of classic Multi-Ring Paxos. The expected order is a
+  // walk over slot index k = 0, 1, ..., visiting the streams in ascending
+  // id at each k, that stops at the first slot not pushed yet. It reads
+  // only the pushed proposals, so it shares no code with StreamQueue.
+  const std::vector<paxos::StreamId> streams = {1, 2, 3};
+  std::map<paxos::StreamId, std::vector<uint64_t>> slots;  // command id, 0 = skip
+  const auto lock_step = [&] {
+    std::vector<uint64_t> order;
+    for (size_t k = 0;; ++k) {
+      for (const paxos::StreamId s : streams) {
+        const std::vector<uint64_t>& pushed = slots[s];
+        if (k >= pushed.size()) return order;
+        if (pushed[k] != 0) order.push_back(pushed[k]);
+      }
+    }
+  };
 
+  Rng rng(42);
+  std::vector<uint64_t> delivered;
   elastic::ElasticMerger em(
       1, {[](paxos::StreamId) {}, [](paxos::StreamId) {},
-          [&](const paxos::Command& c, paxos::StreamId) { elastic_out.push_back(c.id); },
+          [&](const paxos::Command& c, paxos::StreamId) { delivered.push_back(c.id); },
           [](const paxos::Command&) {}});
-  em.bootstrap({1, 2, 3});
-  multicast::StaticMerger sm({1, 2, 3}, [&](const paxos::Command& c, paxos::StreamId) {
-    static_out.push_back(c.id);
-  });
+  em.bootstrap(streams);
 
-  std::map<paxos::StreamId, paxos::SlotIndex> pos;
   uint64_t id = 0;
   for (int round = 0; round < 500; ++round) {
     const paxos::StreamId s = static_cast<paxos::StreamId>(1 + rng.uniform(3));
+    std::vector<uint64_t>& pushed = slots[s];
     paxos::Proposal p;
-    p.first_slot = pos[s];
+    p.first_slot = pushed.size();
     if (rng.chance(0.4)) {
       p.skip_slots = 1 + rng.uniform(4);
+      pushed.insert(pushed.end(), p.skip_slots, 0);
     } else {
       paxos::Command c;
       c.id = ++id;
       c.payload_size = 8;
       p.commands.push_back(c);
+      pushed.push_back(c.id);
     }
-    pos[s] += p.slot_count();
-    em.queue(s).push_proposal(p);
-    sm.queue(s).push_proposal(p);
+    em.queue(s).push_proposal(std::move(p));
     em.pump();
-    sm.pump();
+    ASSERT_EQ(delivered, lock_step()) << "after proposal " << round;
   }
-  EXPECT_EQ(elastic_out, static_out);
-  EXPECT_GT(elastic_out.size(), 50u);
+  EXPECT_GT(delivered.size(), 50u);
 }
 
 }  // namespace

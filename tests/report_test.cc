@@ -170,6 +170,60 @@ TEST(ReportTest, JsonSnapshotRoundTripsToDisk) {
   EXPECT_FALSE(harness::write_json_snapshot(metrics, "/nonexistent-dir/x.json"));
 }
 
+TEST(ReportTest, WindowsPastTheRingRenderAsAgedOut) {
+  // 1100 virtual seconds of steady activity. The instruments keep the
+  // newest 1024 one-second windows (76..1099), so windows 0..75 are
+  // unknown, not zero: tables print "-" plus one note, and to_json
+  // emits only the retained windows.
+  obs::MetricsRegistry metrics;
+  obs::Counter& ops = metrics.counter("ops");
+  obs::Counter& busy = metrics.counter("cpu.busy");
+  obs::Timer& lat = metrics.timer("lat");
+  const Tick end = 1100 * kSecond;
+  for (Tick t = 0; t < end; t += kSecond) {
+    ops.add(t, 10);
+    busy.add(t, static_cast<uint64_t>(250 * kMillisecond));
+    lat.record(t, 2 * kMillisecond);
+  }
+  const auto count = [](const std::string& text, const std::string& needle) {
+    size_t n = 0;
+    for (size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+
+  const std::string rate =
+      harness::render_rate_table(metrics, "R", {{"ops", "ops", 1.0}}, 0, end);
+  EXPECT_NE(rate.find("\n     0            -\n"), std::string::npos);
+  EXPECT_NE(rate.find("\n    75            -\n"), std::string::npos);
+  EXPECT_NE(rate.find("\n    76         10.0\n"), std::string::npos);
+  EXPECT_EQ(count(rate, "            -\n"), 76u);
+  EXPECT_EQ(count(rate, "--telemetry-out"), 1u);
+
+  const std::string cpu =
+      harness::render_cpu_table(metrics, "C", {{"n1", "cpu.busy"}}, 0, end);
+  EXPECT_NE(cpu.find("\n    75            -\n"), std::string::npos);
+  EXPECT_NE(cpu.find("\n    76        25.0%\n"), std::string::npos);
+  EXPECT_EQ(count(cpu, "--telemetry-out"), 1u);
+
+  const std::string latency =
+      harness::render_latency_table(metrics, "L", {{"p95", "lat", 0.95}}, 0, end);
+  EXPECT_NE(latency.find("\n    75            -\n"), std::string::npos);
+  char row[64];
+  std::snprintf(row, sizeof(row), "\n    76 %12.2f\n",
+                to_millis(lat.window_at(76)->quantile(0.95)));
+  EXPECT_NE(latency.find(row), std::string::npos) << latency;
+  EXPECT_EQ(count(latency, "--telemetry-out"), 1u);
+
+  const std::string json = metrics.to_json();
+  EXPECT_NE(json.find("\"first_window\": 76, \"rate_per_sec\": [10, "), std::string::npos);
+  const size_t begin = json.find('[', json.find("\"ops\""));
+  const std::string rates = json.substr(begin, json.find(']', begin) - begin);
+  EXPECT_EQ(count(rates, ","), 1023u) << "one rate per retained window";
+}
+
 // --- timeline export (tools/epx-report) ----------------------------------
 
 obs::TelemetrySample telemetry_sample(uint32_t node, uint64_t seq, Tick end) {

@@ -2,6 +2,7 @@
 // Chrome trace export structure, and an end-to-end traced mini-cluster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -107,6 +108,19 @@ TEST(SpanCollectorTest, EvictionKeepsSampledSpansAndCountsDrops) {
   EXPECT_LE(spans.live().size(), 4u);
   // 8 spans were evicted; 4 of them sampled, 1 retained, 3 dropped.
   EXPECT_EQ(spans.dropped_spans(), 3u);
+}
+
+TEST(SpanCollectorTest, EvictionQueueStaysBoundedByLiveCapacity) {
+  SpanCollector spans;
+  spans.set_enabled(true);
+  spans.set_capacity(/*max_live=*/8, /*max_retired=*/8);
+  size_t longest = 0;
+  for (uint64_t id = 1; id <= 100000; ++id) {
+    spans.record(id, SpanStage::kClientSend, static_cast<Tick>(id), 1, 1);
+    longest = std::max(longest, spans.eviction_queue_size());
+  }
+  EXPECT_LE(longest, 8u);
+  EXPECT_EQ(spans.eviction_queue_size(), spans.live().size());
 }
 
 // --- Chrome trace export -------------------------------------------------

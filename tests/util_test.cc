@@ -67,24 +67,6 @@ TEST(RngTest, ChanceApproximatesProbability) {
   EXPECT_NEAR(hits / 100000.0, 0.3, 0.02);
 }
 
-TEST(RngTest, ExponentialHasRequestedMean) {
-  Rng rng(13);
-  double sum = 0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(5.0);
-  EXPECT_NEAR(sum / n, 5.0, 0.1);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(9);
-  Rng child = parent.fork();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.next() == child.next()) ++equal;
-  }
-  EXPECT_LT(equal, 2);
-}
-
 // ---------------------------------------------------------- Histogram --
 
 TEST(HistogramTest, EmptyHistogram) {

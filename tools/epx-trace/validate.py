@@ -27,8 +27,7 @@ import sys
 
 VALID_PHASES = {"b", "e", "X", "i", "M"}
 
-# Stage names emitted by obs::SpanCollector (span_stage_name + derived
-# interval names used for the per-stage "X" events).
+# Interval names obs::SpanCollector emits for the per-stage "X" events.
 STAGE_EVENTS = {
     "propose_wait",
     "quorum_wait",
