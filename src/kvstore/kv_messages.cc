@@ -2,34 +2,6 @@
 
 namespace epx::kv {
 
-std::shared_ptr<Message> KvSignalMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<KvSignalMsg>();
-  m->command_id = r.varint();
-  m->partition_id = static_cast<uint32_t>(r.varint());
-  return m;
-}
-
-std::shared_ptr<Message> SnapshotRequestMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<SnapshotRequestMsg>();
-  m->request_id = r.varint();
-  return m;
-}
-
-std::shared_ptr<Message> SnapshotReplyMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<SnapshotReplyMsg>();
-  m->request_id = r.varint();
-  m->store = std::make_shared<const std::string>(r.bytes());
-  const uint64_t n = r.varint();
-  for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    const auto stream = static_cast<uint32_t>(r.varint());
-    const uint64_t pos = r.varint();
-    m->stream_positions.emplace_back(stream, pos);
-  }
-  m->next_stream = r.u32();
-  m->clean = r.u8() != 0;
-  return m;
-}
-
 void register_kv_messages() {
   auto& codec = net::MessageCodec::instance();
   codec.register_type(MsgType::kKvSignal, KvSignalMsg::decode);

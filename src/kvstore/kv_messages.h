@@ -3,52 +3,44 @@
 // snapshot-based state transfer for replica recovery.
 #pragma once
 
-#include "net/message.h"
+#include "net/wire.h"
 
 namespace epx::kv {
 
-using net::Message;
 using net::MsgType;
-using net::NodeId;
-using net::Reader;
-using net::Writer;
+using net::Wire;
 
 /// "I delivered multi-partition command `command_id` and my partition is
 /// ready to execute it."
-struct KvSignalMsg final : Message {
+struct KvSignalMsg final : Wire<KvSignalMsg> {
+  static constexpr MsgType kType = MsgType::kKvSignal;
   uint64_t command_id = 0;
   uint32_t partition_id = 0;
 
   KvSignalMsg() = default;
   KvSignalMsg(uint64_t cmd, uint32_t part) : command_id(cmd), partition_id(part) {}
 
-  MsgType type() const override { return MsgType::kKvSignal; }
-  size_t body_size() const override {
-    return Writer::varint_size(command_id) + Writer::varint_size(partition_id);
+  static void fields(auto& m, auto& io) {
+    io.varint(m.command_id);
+    io.varint(m.partition_id);
   }
-  void encode(Writer& w) const override {
-    w.varint(command_id);
-    w.varint(partition_id);
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
-struct SnapshotRequestMsg final : Message {
+struct SnapshotRequestMsg final : Wire<SnapshotRequestMsg> {
+  static constexpr MsgType kType = MsgType::kSnapshotRequest;
   uint64_t request_id = 0;
 
   SnapshotRequestMsg() = default;
   explicit SnapshotRequestMsg(uint64_t id) : request_id(id) {}
 
-  MsgType type() const override { return MsgType::kSnapshotRequest; }
-  size_t body_size() const override { return Writer::varint_size(request_id); }
-  void encode(Writer& w) const override { w.varint(request_id); }
-  static std::shared_ptr<Message> decode(Reader& r);
+  static void fields(auto& m, auto& io) { io.varint(m.request_id); }
 };
 
 /// Snapshot of a replica's store plus the merger cut it was taken at:
 /// per-stream next slot indexes, so the receiver can resume delivery at
 /// exactly the snapshot point.
-struct SnapshotReplyMsg final : Message {
+struct SnapshotReplyMsg final : Wire<SnapshotReplyMsg> {
+  static constexpr MsgType kType = MsgType::kSnapshotReply;
   uint64_t request_id = 0;
   std::shared_ptr<const std::string> store;  ///< encode_pairs() payload
   std::vector<std::pair<uint32_t, uint64_t>> stream_positions;
@@ -59,29 +51,16 @@ struct SnapshotReplyMsg final : Message {
   /// the joiner should retry later.
   bool clean = true;
 
-  MsgType type() const override { return MsgType::kSnapshotReply; }
-  size_t body_size() const override {
-    size_t n = Writer::varint_size(request_id) +
-               Writer::bytes_size(store ? store->size() : 0) +
-               Writer::varint_size(stream_positions.size());
-    for (const auto& [s, pos] : stream_positions) {
-      n += Writer::varint_size(s) + Writer::varint_size(pos);
-    }
-    n += sizeof(uint32_t) + 1;
-    return n;
+  static void fields(auto& m, auto& io) {
+    io.varint(m.request_id);
+    io.bytes(m.store);
+    io.list(m.stream_positions, [](auto& position, auto& pio) {
+      pio.varint(position.first);
+      pio.varint(position.second);
+    });
+    io.u32(m.next_stream);
+    io.u8(m.clean);
   }
-  void encode(Writer& w) const override {
-    w.varint(request_id);
-    w.bytes(store ? std::string_view(*store) : std::string_view());
-    w.varint(stream_positions.size());
-    for (const auto& [s, pos] : stream_positions) {
-      w.varint(s);
-      w.varint(pos);
-    }
-    w.u32(next_stream);
-    w.u8(clean ? 1 : 0);
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 void register_kv_messages();

@@ -2,15 +2,6 @@
 
 namespace epx::multicast {
 
-std::shared_ptr<Message> ReplyMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<ReplyMsg>();
-  m->command_id = r.varint();
-  m->status = r.u8();
-  m->shard = r.varint();
-  m->payload = std::make_shared<const std::string>(r.bytes());
-  return m;
-}
-
 void register_multicast_messages() {
   net::MessageCodec::instance().register_type(MsgType::kKvReply, ReplyMsg::decode);
 }

@@ -6,17 +6,15 @@
 // broadcast benchmarks use it with an empty payload.
 #pragma once
 
-#include "net/message.h"
-#include "paxos/types.h"
+#include "net/wire.h"
 
 namespace epx::multicast {
 
-using net::Message;
 using net::MsgType;
-using net::Reader;
-using net::Writer;
+using net::Wire;
 
-struct ReplyMsg final : Message {
+struct ReplyMsg final : Wire<ReplyMsg> {
+  static constexpr MsgType kType = MsgType::kKvReply;
   uint64_t command_id = 0;
   uint8_t status = 0;  ///< 0 = ok; application-defined otherwise
   uint64_t shard = 0;  ///< replying partition id (getrange partial assembly)
@@ -25,19 +23,12 @@ struct ReplyMsg final : Message {
   ReplyMsg() = default;
   ReplyMsg(uint64_t id, uint8_t st) : command_id(id), status(st) {}
 
-  MsgType type() const override { return MsgType::kKvReply; }
-  size_t body_size() const override {
-    const size_t n = payload ? payload->size() : 0;
-    return Writer::varint_size(command_id) + 1 + Writer::varint_size(shard) +
-           Writer::bytes_size(n);
+  static void fields(auto& m, auto& io) {
+    io.varint(m.command_id);
+    io.u8(m.status);
+    io.varint(m.shard);
+    io.bytes(m.payload);
   }
-  void encode(Writer& w) const override {
-    w.varint(command_id);
-    w.u8(status);
-    w.varint(shard);
-    w.bytes(payload ? std::string_view(*payload) : std::string_view());
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 /// Registers multicast-level message decoders.

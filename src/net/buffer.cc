@@ -15,15 +15,6 @@ void Writer::bytes(std::string_view data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-size_t Writer::varint_size(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
 bool Reader::take(void* out, size_t n) {
   if (!ok_ || remaining() < n) {
     ok_ = false;

@@ -2,9 +2,10 @@
 //
 // Encoding rules: fixed-width little-endian integers for protocol fields
 // where the size matters for bandwidth accounting, LEB128 varints for
-// counts, and length-prefixed byte strings. The codec is exercised by the
-// message round-trip tests; during simulation message sizes are computed
-// without materialising bytes (see Message::body_size).
+// counts, and length-prefixed byte strings. Messages do not call these
+// directly: each lists its fields once and net/wire.h derives sizing,
+// encoding and decoding from that list, sizing without materialising
+// bytes (Message::body_size runs on every simulated send).
 #pragma once
 
 #include <cstdint>
@@ -31,8 +32,8 @@ class Writer {
   }
 
   /// Grows capacity for `additional` more bytes in one step. Encoders
-  /// that know their output size (Message::body_size, encoded_size)
-  /// call this up front to avoid repeated vector regrowth — on the
+  /// that know their output size (Message::body_size) call this up
+  /// front to avoid repeated vector regrowth — on the
   /// 32 KB-value codec path that is the difference between one
   /// allocation and a doubling cascade.
   void reserve(size_t additional) { buf_.reserve(buf_.size() + additional); }
@@ -43,6 +44,12 @@ class Writer {
   /// Length-prefixed bytes.
   void bytes(std::string_view data);
 
+  /// Length-prefixed run of `len` zero bytes (a synthetic payload).
+  void zero_bytes(size_t len) {
+    varint(len);
+    buf_.resize(buf_.size() + len);
+  }
+
   const std::vector<uint8_t>& data() const { return buf_; }
   size_t size() const { return buf_.size(); }
   void clear() { buf_.clear(); }
@@ -51,7 +58,11 @@ class Writer {
   std::vector<uint8_t> take() { return std::move(buf_); }
 
   /// Wire size of a varint without writing it.
-  static size_t varint_size(uint64_t v);
+  static constexpr size_t varint_size(uint64_t v) {
+    size_t n = 1;
+    for (; v >= 0x80; v >>= 7) ++n;
+    return n;
+  }
   /// Wire size of a length-prefixed byte string.
   static size_t bytes_size(size_t len) { return varint_size(len) + len; }
 
@@ -70,6 +81,8 @@ class Reader {
       : data_(reinterpret_cast<const char*>(data), n) {}
 
   bool ok() const { return ok_; }
+  /// Marks the input malformed (a decoder found an out-of-range value).
+  void fail() { ok_ = false; }
   size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return pos_ == data_.size(); }
 

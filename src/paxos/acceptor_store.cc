@@ -15,7 +15,7 @@ namespace {
 constexpr uint64_t kRecordHeaderBytes = 24;
 
 uint64_t record_bytes(const ProposalPtr& value) {
-  return kRecordHeaderBytes + (value ? value->encoded_size() : 0);
+  return kRecordHeaderBytes + (value ? net::encoded_size(*value) : 0);
 }
 
 }  // namespace

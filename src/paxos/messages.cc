@@ -2,122 +2,6 @@
 
 namespace epx::paxos {
 
-std::shared_ptr<Message> ClientProposeMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<ClientProposeMsg>();
-  m->stream = static_cast<StreamId>(r.varint());
-  m->command = Command::decode(r);
-  return m;
-}
-
-std::shared_ptr<Message> ProposeRejectMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<ProposeRejectMsg>();
-  m->stream = static_cast<StreamId>(r.varint());
-  m->command_id = r.varint();
-  m->current_leader = r.u32();
-  return m;
-}
-
-std::shared_ptr<Message> Phase1aMsg::decode(Reader& r) {
-  auto m = std::make_shared<Phase1aMsg>();
-  m->stream = static_cast<StreamId>(r.varint());
-  m->ballot.round = r.u32();
-  m->ballot.leader = r.u32();
-  m->from_instance = r.varint();
-  return m;
-}
-
-std::shared_ptr<Message> Phase1bMsg::decode(Reader& r) {
-  auto m = std::make_shared<Phase1bMsg>();
-  m->stream = static_cast<StreamId>(r.varint());
-  m->ballot.round = r.u32();
-  m->ballot.leader = r.u32();
-  m->promised.round = r.u32();
-  m->promised.leader = r.u32();
-  m->ok = r.u8() != 0;
-  m->acceptor = r.u32();
-  const uint64_t n = r.varint();
-  for (uint64_t i = 0; i < n && r.ok(); ++i) m->accepted.push_back(AcceptedEntry::decode(r));
-  return m;
-}
-
-std::shared_ptr<Message> AcceptMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<AcceptMsg>();
-  m->stream = static_cast<StreamId>(r.varint());
-  m->ballot.round = r.u32();
-  m->ballot.leader = r.u32();
-  m->instance = r.varint();
-  m->value = decode_proposal(r);
-  m->accept_count = r.u32();
-  return m;
-}
-
-std::shared_ptr<Message> DecisionMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<DecisionMsg>();
-  m->stream = static_cast<StreamId>(r.varint());
-  m->instance = r.varint();
-  m->value = decode_proposal(r);
-  return m;
-}
-
-std::shared_ptr<Message> LearnerJoinMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<LearnerJoinMsg>();
-  m->stream = static_cast<StreamId>(r.varint());
-  m->learner = r.u32();
-  return m;
-}
-
-std::shared_ptr<Message> LearnerLeaveMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<LearnerLeaveMsg>();
-  m->stream = static_cast<StreamId>(r.varint());
-  m->learner = r.u32();
-  return m;
-}
-
-std::shared_ptr<Message> RecoverRequestMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<RecoverRequestMsg>();
-  m->stream = static_cast<StreamId>(r.varint());
-  m->from = r.varint();
-  m->to = r.varint();
-  return m;
-}
-
-std::shared_ptr<Message> RecoverReplyMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<RecoverReplyMsg>();
-  m->stream = static_cast<StreamId>(r.varint());
-  m->trim_horizon = r.varint();
-  m->decided_watermark = r.varint();
-  const uint64_t n = r.varint();
-  for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    const InstanceId inst = r.varint();
-    m->entries.emplace_back(inst, decode_proposal(r));
-  }
-  return m;
-}
-
-std::shared_ptr<Message> TrimRequestMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<TrimRequestMsg>();
-  m->stream = static_cast<StreamId>(r.varint());
-  m->up_to = r.varint();
-  return m;
-}
-
-std::shared_ptr<Message> CoordHeartbeatMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<CoordHeartbeatMsg>();
-  m->stream = static_cast<StreamId>(r.varint());
-  m->ballot.round = r.u32();
-  m->ballot.leader = r.u32();
-  m->next_instance = r.varint();
-  return m;
-}
-
-std::shared_ptr<Message> LearnerReportMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<LearnerReportMsg>();
-  m->stream = static_cast<StreamId>(r.varint());
-  m->learner = r.u32();
-  m->next_instance = r.varint();
-  return m;
-}
-
 void register_paxos_messages() {
   auto& codec = net::MessageCodec::instance();
   codec.register_type(MsgType::kClientPropose, ClientProposeMsg::decode);

@@ -5,6 +5,8 @@
 // each acceptor accepts and forwards; the acceptor completing the quorum
 // emits Decision to the stream's registered learners and the coordinator.
 // Phase 1 (leader change) uses direct request/reply.
+//
+// Each message lists its wire layout once, in `fields` (net/wire.h).
 #pragma once
 
 #include <optional>
@@ -13,32 +15,27 @@
 
 namespace epx::paxos {
 
-using net::Message;
 using net::MsgType;
-using net::Reader;
-using net::Writer;
+using net::Wire;
 
 /// Client → coordinator: please order this command in `stream`.
-struct ClientProposeMsg final : Message {
+struct ClientProposeMsg final : Wire<ClientProposeMsg> {
+  static constexpr MsgType kType = MsgType::kClientPropose;
   StreamId stream = kInvalidStream;
   Command command;
 
   ClientProposeMsg() = default;
   ClientProposeMsg(StreamId s, Command c) : stream(s), command(std::move(c)) {}
 
-  MsgType type() const override { return MsgType::kClientPropose; }
-  size_t body_size() const override {
-    return Writer::varint_size(stream) + command.encoded_size();
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.nested(m.command);
   }
-  void encode(Writer& w) const override {
-    w.varint(stream);
-    command.encode(w);
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 /// Coordinator → client: command rejected (not leader, or overloaded).
-struct ProposeRejectMsg final : Message {
+struct ProposeRejectMsg final : Wire<ProposeRejectMsg> {
+  static constexpr MsgType kType = MsgType::kProposeReject;
   StreamId stream = kInvalidStream;
   uint64_t command_id = 0;
   NodeId current_leader = net::kInvalidNode;
@@ -47,21 +44,17 @@ struct ProposeRejectMsg final : Message {
   ProposeRejectMsg(StreamId s, uint64_t id, NodeId leader)
       : stream(s), command_id(id), current_leader(leader) {}
 
-  MsgType type() const override { return MsgType::kProposeReject; }
-  size_t body_size() const override {
-    return Writer::varint_size(stream) + Writer::varint_size(command_id) + sizeof(uint32_t);
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.varint(m.command_id);
+    io.u32(m.current_leader);
   }
-  void encode(Writer& w) const override {
-    w.varint(stream);
-    w.varint(command_id);
-    w.u32(current_leader);
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 /// Phase 1a: new leader asks acceptors to promise `ballot` for every
 /// instance >= from_instance.
-struct Phase1aMsg final : Message {
+struct Phase1aMsg final : Wire<Phase1aMsg> {
+  static constexpr MsgType kType = MsgType::kPhase1a;
   StreamId stream = kInvalidStream;
   Ballot ballot;
   InstanceId from_instance = 0;
@@ -70,18 +63,12 @@ struct Phase1aMsg final : Message {
   Phase1aMsg(StreamId s, Ballot b, InstanceId from)
       : stream(s), ballot(b), from_instance(from) {}
 
-  MsgType type() const override { return MsgType::kPhase1a; }
-  size_t body_size() const override {
-    return Writer::varint_size(stream) + 2 * sizeof(uint32_t) +
-           Writer::varint_size(from_instance);
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.u32(m.ballot.round);
+    io.u32(m.ballot.leader);
+    io.varint(m.from_instance);
   }
-  void encode(Writer& w) const override {
-    w.varint(stream);
-    w.u32(ballot.round);
-    w.u32(ballot.leader);
-    w.varint(from_instance);
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 /// One accepted entry reported in Phase 1b. The value references the
@@ -93,30 +80,19 @@ struct AcceptedEntry {
   ProposalPtr value = empty_proposal();
   bool decided = false;
 
-  size_t encoded_size() const {
-    return Writer::varint_size(instance) + 2 * sizeof(uint32_t) + value->encoded_size() + 1;
-  }
-  void encode(Writer& w) const {
-    w.varint(instance);
-    w.u32(value_ballot.round);
-    w.u32(value_ballot.leader);
-    value->encode(w);
-    w.u8(decided ? 1 : 0);
-  }
-  static AcceptedEntry decode(Reader& r) {
-    AcceptedEntry e;
-    e.instance = r.varint();
-    e.value_ballot.round = r.u32();
-    e.value_ballot.leader = r.u32();
-    e.value = decode_proposal(r);
-    e.decided = r.u8() != 0;
-    return e;
+  static void fields(auto& e, auto& io) {
+    io.varint(e.instance);
+    io.u32(e.value_ballot.round);
+    io.u32(e.value_ballot.leader);
+    io.nested(e.value);
+    io.u8(e.decided);
   }
 };
 
 /// Phase 1b: acceptor's promise (or rejection carrying a higher ballot),
 /// with every value it has accepted at or above from_instance.
-struct Phase1bMsg final : Message {
+struct Phase1bMsg final : Wire<Phase1bMsg> {
+  static constexpr MsgType kType = MsgType::kPhase1b;
   StreamId stream = kInvalidStream;
   Ballot ballot;            ///< ballot being answered
   Ballot promised;          ///< acceptor's current promise (>= ballot if ok)
@@ -124,54 +100,41 @@ struct Phase1bMsg final : Message {
   NodeId acceptor = net::kInvalidNode;
   std::vector<AcceptedEntry> accepted;
 
-  MsgType type() const override { return MsgType::kPhase1b; }
-  size_t body_size() const override {
-    size_t n = Writer::varint_size(stream) + 4 * sizeof(uint32_t) + 1 + sizeof(uint32_t) +
-               Writer::varint_size(accepted.size());
-    for (const auto& e : accepted) n += e.encoded_size();
-    return n;
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.u32(m.ballot.round);
+    io.u32(m.ballot.leader);
+    io.u32(m.promised.round);
+    io.u32(m.promised.leader);
+    io.u8(m.ok);
+    io.u32(m.acceptor);
+    io.list(m.accepted);
   }
-  void encode(Writer& w) const override {
-    w.varint(stream);
-    w.u32(ballot.round);
-    w.u32(ballot.leader);
-    w.u32(promised.round);
-    w.u32(promised.leader);
-    w.u8(ok ? 1 : 0);
-    w.u32(acceptor);
-    w.varint(accepted.size());
-    for (const auto& e : accepted) e.encode(w);
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 /// Phase 2a travelling along the acceptor ring. accept_count counts the
 /// acceptors that accepted so far (including the sender of this hop).
-struct AcceptMsg final : Message {
+struct AcceptMsg final : Wire<AcceptMsg> {
+  static constexpr MsgType kType = MsgType::kAccept;
   StreamId stream = kInvalidStream;
   Ballot ballot;
   InstanceId instance = 0;
   ProposalPtr value = empty_proposal();  ///< shared with the proposer's window
   uint32_t accept_count = 0;
 
-  MsgType type() const override { return MsgType::kAccept; }
-  size_t body_size() const override {
-    return Writer::varint_size(stream) + 2 * sizeof(uint32_t) +
-           Writer::varint_size(instance) + value->encoded_size() + sizeof(uint32_t);
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.u32(m.ballot.round);
+    io.u32(m.ballot.leader);
+    io.varint(m.instance);
+    io.nested(m.value);
+    io.u32(m.accept_count);
   }
-  void encode(Writer& w) const override {
-    w.varint(stream);
-    w.u32(ballot.round);
-    w.u32(ballot.leader);
-    w.varint(instance);
-    value->encode(w);
-    w.u32(accept_count);
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 /// Decided instance fanned out to learners and the coordinator.
-struct DecisionMsg final : Message {
+struct DecisionMsg final : Wire<DecisionMsg> {
+  static constexpr MsgType kType = MsgType::kDecision;
   StreamId stream = kInvalidStream;
   InstanceId instance = 0;
   ProposalPtr value = empty_proposal();  ///< shared across the learner fan-out
@@ -182,53 +145,45 @@ struct DecisionMsg final : Message {
   DecisionMsg(StreamId s, InstanceId i, Proposal v)
       : stream(s), instance(i), value(make_proposal(std::move(v))) {}
 
-  MsgType type() const override { return MsgType::kDecision; }
-  size_t body_size() const override {
-    return Writer::varint_size(stream) + Writer::varint_size(instance) + value->encoded_size();
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.varint(m.instance);
+    io.nested(m.value);
   }
-  void encode(Writer& w) const override {
-    w.varint(stream);
-    w.varint(instance);
-    value->encode(w);
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 /// Learner (un)registration with a stream's acceptors.
-struct LearnerJoinMsg final : Message {
+struct LearnerJoinMsg final : Wire<LearnerJoinMsg> {
+  static constexpr MsgType kType = MsgType::kLearnerJoin;
   StreamId stream = kInvalidStream;
   NodeId learner = net::kInvalidNode;
 
   LearnerJoinMsg() = default;
   LearnerJoinMsg(StreamId s, NodeId l) : stream(s), learner(l) {}
 
-  MsgType type() const override { return MsgType::kLearnerJoin; }
-  size_t body_size() const override { return Writer::varint_size(stream) + sizeof(uint32_t); }
-  void encode(Writer& w) const override {
-    w.varint(stream);
-    w.u32(learner);
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.u32(m.learner);
   }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
-struct LearnerLeaveMsg final : Message {
+struct LearnerLeaveMsg final : Wire<LearnerLeaveMsg> {
+  static constexpr MsgType kType = MsgType::kLearnerLeave;
   StreamId stream = kInvalidStream;
   NodeId learner = net::kInvalidNode;
 
   LearnerLeaveMsg() = default;
   LearnerLeaveMsg(StreamId s, NodeId l) : stream(s), learner(l) {}
 
-  MsgType type() const override { return MsgType::kLearnerLeave; }
-  size_t body_size() const override { return Writer::varint_size(stream) + sizeof(uint32_t); }
-  void encode(Writer& w) const override {
-    w.varint(stream);
-    w.u32(learner);
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.u32(m.learner);
   }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 /// Learner catch-up: send me decided instances in [from, to).
-struct RecoverRequestMsg final : Message {
+struct RecoverRequestMsg final : Wire<RecoverRequestMsg> {
+  static constexpr MsgType kType = MsgType::kRecoverRequest;
   StreamId stream = kInvalidStream;
   InstanceId from = 0;
   InstanceId to = 0;
@@ -236,23 +191,19 @@ struct RecoverRequestMsg final : Message {
   RecoverRequestMsg() = default;
   RecoverRequestMsg(StreamId s, InstanceId f, InstanceId t) : stream(s), from(f), to(t) {}
 
-  MsgType type() const override { return MsgType::kRecoverRequest; }
-  size_t body_size() const override {
-    return Writer::varint_size(stream) + Writer::varint_size(from) + Writer::varint_size(to);
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.varint(m.from);
+    io.varint(m.to);
   }
-  void encode(Writer& w) const override {
-    w.varint(stream);
-    w.varint(from);
-    w.varint(to);
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 /// Chunk of decided instances. `trim_horizon` tells the learner the
 /// oldest instance still available; `decided_watermark` is the highest
 /// contiguously decided instance at the acceptor, so the learner knows
 /// how far behind it still is.
-struct RecoverReplyMsg final : Message {
+struct RecoverReplyMsg final : Wire<RecoverReplyMsg> {
+  static constexpr MsgType kType = MsgType::kRecoverReply;
   StreamId stream = kInvalidStream;
   InstanceId trim_horizon = 0;
   InstanceId decided_watermark = 0;
@@ -260,49 +211,35 @@ struct RecoverReplyMsg final : Message {
   /// recover_chunk-sized catch-up reply adds no payload copies.
   std::vector<std::pair<InstanceId, ProposalPtr>> entries;
 
-  MsgType type() const override { return MsgType::kRecoverReply; }
-  size_t body_size() const override {
-    size_t n = Writer::varint_size(stream) + Writer::varint_size(trim_horizon) +
-               Writer::varint_size(decided_watermark) + Writer::varint_size(entries.size());
-    for (const auto& [inst, prop] : entries) {
-      n += Writer::varint_size(inst) + prop->encoded_size();
-    }
-    return n;
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.varint(m.trim_horizon);
+    io.varint(m.decided_watermark);
+    io.list(m.entries, [](auto& entry, auto& eio) {
+      eio.varint(entry.first);
+      eio.nested(entry.second);
+    });
   }
-  void encode(Writer& w) const override {
-    w.varint(stream);
-    w.varint(trim_horizon);
-    w.varint(decided_watermark);
-    w.varint(entries.size());
-    for (const auto& [inst, prop] : entries) {
-      w.varint(inst);
-      prop->encode(w);
-    }
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 /// Asks acceptors to discard log entries below `up_to`.
-struct TrimRequestMsg final : Message {
+struct TrimRequestMsg final : Wire<TrimRequestMsg> {
+  static constexpr MsgType kType = MsgType::kTrimRequest;
   StreamId stream = kInvalidStream;
   InstanceId up_to = 0;
 
   TrimRequestMsg() = default;
   TrimRequestMsg(StreamId s, InstanceId u) : stream(s), up_to(u) {}
 
-  MsgType type() const override { return MsgType::kTrimRequest; }
-  size_t body_size() const override {
-    return Writer::varint_size(stream) + Writer::varint_size(up_to);
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.varint(m.up_to);
   }
-  void encode(Writer& w) const override {
-    w.varint(stream);
-    w.varint(up_to);
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 /// Leader liveness beacon to acceptors (standby coordinators watch it).
-struct CoordHeartbeatMsg final : Message {
+struct CoordHeartbeatMsg final : Wire<CoordHeartbeatMsg> {
+  static constexpr MsgType kType = MsgType::kCoordHeartbeat;
   StreamId stream = kInvalidStream;
   Ballot ballot;
   InstanceId next_instance = 0;
@@ -311,25 +248,20 @@ struct CoordHeartbeatMsg final : Message {
   CoordHeartbeatMsg(StreamId s, Ballot b, InstanceId n)
       : stream(s), ballot(b), next_instance(n) {}
 
-  MsgType type() const override { return MsgType::kCoordHeartbeat; }
-  size_t body_size() const override {
-    return Writer::varint_size(stream) + 2 * sizeof(uint32_t) +
-           Writer::varint_size(next_instance);
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.u32(m.ballot.round);
+    io.u32(m.ballot.leader);
+    io.varint(m.next_instance);
   }
-  void encode(Writer& w) const override {
-    w.varint(stream);
-    w.u32(ballot.round);
-    w.u32(ballot.leader);
-    w.varint(next_instance);
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 /// Learner -> coordinator: periodic position report. The coordinator
 /// trims acceptor logs below the slowest learner (paper §VI: URingPaxos
 /// "has several mechanisms built in to recover and trim Paxos acceptors
 /// log and coordinate replica checkpoints").
-struct LearnerReportMsg final : Message {
+struct LearnerReportMsg final : Wire<LearnerReportMsg> {
+  static constexpr MsgType kType = MsgType::kLearnerReport;
   StreamId stream = kInvalidStream;
   NodeId learner = net::kInvalidNode;
   InstanceId next_instance = 0;
@@ -338,17 +270,11 @@ struct LearnerReportMsg final : Message {
   LearnerReportMsg(StreamId s, NodeId l, InstanceId n)
       : stream(s), learner(l), next_instance(n) {}
 
-  MsgType type() const override { return MsgType::kLearnerReport; }
-  size_t body_size() const override {
-    return Writer::varint_size(stream) + sizeof(uint32_t) +
-           Writer::varint_size(next_instance);
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.u32(m.learner);
+    io.varint(m.next_instance);
   }
-  void encode(Writer& w) const override {
-    w.varint(stream);
-    w.u32(learner);
-    w.varint(next_instance);
-  }
-  static std::shared_ptr<Message> decode(Reader& r);
 };
 
 /// Registers all Paxos message decoders with the global codec.

@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "net/buffer.h"
 #include "net/message.h"
+#include "net/wire.h"
 
 namespace epx::paxos {
 
@@ -54,7 +54,8 @@ enum class CommandKind : uint8_t {
 /// is shared to keep copies cheap. Large synthetic payloads (e.g. the
 /// paper's 32 KB benchmark values) can be represented by size only
 /// (payload == nullptr, payload_size > 0); the codec materialises zeros
-/// for them so encode/decode stays well-defined.
+/// for them so encode/decode stays well-defined, and decode fills in
+/// both fields.
 struct Command {
   CommandKind kind = CommandKind::kApp;
   uint64_t id = 0;           ///< globally unique (client id << 32 | sequence)
@@ -68,9 +69,14 @@ struct Command {
 
   bool is_control() const { return kind != CommandKind::kApp; }
 
-  size_t encoded_size() const;
-  void encode(net::Writer& w) const;
-  static Command decode(net::Reader& r);
+  static void fields(auto& c, auto& io) {
+    io.enum8(c.kind, CommandKind::kPrepareHint);  // the last kind
+    io.varint(c.id);
+    io.u32(c.client);
+    io.varint(c.group);
+    io.varint(c.target_stream);
+    io.payload(c.payload, c.payload_size);
+  }
 
   std::string debug_string() const;
 };
@@ -96,9 +102,11 @@ struct Proposal {
 
   uint64_t slot_count() const { return commands.size() + skip_slots; }
 
-  size_t encoded_size() const;
-  void encode(net::Writer& w) const;
-  static Proposal decode(net::Reader& r);
+  static void fields(auto& p, auto& io) {
+    io.list(p.commands);
+    io.varint(p.skip_slots);
+    io.varint(p.first_slot);
+  }
 };
 
 /// A frozen proposal, shared across every hop of the consensus path:
@@ -114,10 +122,6 @@ ProposalPtr make_proposal(Proposal&& p);
 /// carrying messages so a default-constructed message still encodes to
 /// its historical wire bytes.
 const ProposalPtr& empty_proposal();
-
-/// Decodes a proposal directly into pool-backed shared storage (the
-/// decode-side counterpart of make_proposal).
-ProposalPtr decode_proposal(net::Reader& r);
 
 /// Factory helpers for control commands.
 Command make_subscribe(uint64_t id, GroupId group, StreamId stream);

@@ -2,70 +2,6 @@
 
 namespace epx::registry {
 
-std::shared_ptr<Message> RegistrySetMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<RegistrySetMsg>();
-  m->key = r.bytes();
-  m->value = r.bytes();
-  return m;
-}
-
-std::shared_ptr<Message> RegistryGetMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<RegistryGetMsg>();
-  m->request_id = r.varint();
-  m->key = r.bytes();
-  return m;
-}
-
-std::shared_ptr<Message> RegistryReplyMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<RegistryReplyMsg>();
-  m->request_id = r.varint();
-  m->key = r.bytes();
-  m->value = r.bytes();
-  m->version = r.varint();
-  m->found = r.u8() != 0;
-  return m;
-}
-
-std::shared_ptr<Message> RegistryWatchMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<RegistryWatchMsg>();
-  m->prefix = r.bytes();
-  m->watcher = r.u32();
-  return m;
-}
-
-std::shared_ptr<Message> RegistryEventMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<RegistryEventMsg>();
-  m->key = r.bytes();
-  m->value = r.bytes();
-  m->version = r.varint();
-  return m;
-}
-
-std::shared_ptr<Message> TelemetrySampleMsg::decode(Reader& r) {
-  auto m = net::make_mutable_message<TelemetrySampleMsg>();
-  m->node = r.u32();
-  m->seq = r.varint();
-  m->window_start = r.i64();
-  m->window_end = r.i64();
-  const uint64_t count = r.varint();
-  if (!r.ok()) return m;
-  m->points.reserve(count < 1024 ? count : 1024);
-  for (uint64_t i = 0; i < count && r.ok(); ++i) {
-    obs::TelemetryPoint p;
-    p.key = obs::intern_key(r.bytes());
-    const uint8_t kind = r.u8();
-    p.kind = kind <= static_cast<uint8_t>(obs::PointKind::kTimer)
-                 ? static_cast<obs::PointKind>(kind)
-                 : obs::PointKind::kCounter;
-    p.v0 = r.f64();
-    p.v1 = r.f64();
-    p.v2 = r.f64();
-    p.v3 = r.f64();
-    m->points.push_back(std::move(p));
-  }
-  return m;
-}
-
 void register_registry_messages() {
   auto& codec = net::MessageCodec::instance();
   codec.register_type(MsgType::kRegistrySet, RegistrySetMsg::decode);

@@ -1,64 +1,51 @@
-// Fixture: codec completeness violations — epx-lint R4 must flag every
-// struct here (a field missing from encode and/or decode silently drops
-// data on the wire).
+// Fixture: layout completeness violations — epx-lint R4 must flag every
+// struct here (a data member missing from the fields list never reaches
+// the wire: it is neither sized, encoded nor decoded).
 #pragma once
 #include <cstdint>
+#include <memory>
 
 namespace epx_fixture {
 
-struct Writer {
-  void varint(uint64_t) {}
-  void u32(uint32_t) {}
-};
-struct Reader {
-  uint64_t varint() { return 0; }
-  uint32_t u32() { return 0; }
-};
+struct Value {};
+std::shared_ptr<const Value> make_default();
 
-/// `epoch` is encoded but never decoded: receivers see a garbage epoch.
-struct HalfDecodedMsg {
+/// `epoch` is never listed: receivers see a default epoch.
+struct HalfListedMsg {
   uint64_t stream = 0;
   uint32_t epoch = 0;
 
-  void encode(Writer& w) const {
-    w.varint(stream);
-    w.u32(epoch);
-  }
-  static HalfDecodedMsg decode(Reader& r) {
-    HalfDecodedMsg m;
-    m.stream = r.varint();
-    return m;  // epoch forgotten — R4
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);  // epoch forgotten — R4
   }
 };
 
-/// `trace` (a causal span id) is stamped on the wire but never read
-/// back: the receiving side's spans silently detach from the sender's.
+/// `trace` (a causal span id) is never listed: the receiving side's
+/// spans silently detach from the sender's.
 struct HalfTracedMsg {
   uint64_t command_id = 0;
   uint64_t trace = 0;
 
-  void encode(Writer& w) const {
-    w.varint(command_id);
-    w.varint(trace);
-  }
-  static HalfTracedMsg decode(Reader& r) {
-    HalfTracedMsg m;
-    m.command_id = r.varint();
-    return m;  // trace forgotten — R4
-  }
+  static void fields(auto& m, auto& io) { io.varint(m.command_id); }
 };
 
 /// `ballot` is never put on the wire at all.
-struct NeverEncodedMsg {
+struct NeverListedMsg {
   uint64_t instance = 0;
   uint32_t ballot = 0;
 
-  void encode(Writer& w) const { w.varint(instance); }
-  static NeverEncodedMsg decode(Reader& r) {
-    NeverEncodedMsg m;
-    m.instance = r.varint();
-    return m;
-  }
+  NeverListedMsg() = default;
+
+  static void fields(auto& m, auto& io) { io.varint(m.instance); }
+};
+
+/// A member whose default initializer has a call in it is still a data
+/// member: `value` is forgotten.
+struct DefaultedValueMsg {
+  uint64_t instance = 0;
+  std::shared_ptr<const Value> value = make_default();
+
+  static void fields(auto& m, auto& io) { io.varint(m.instance); }
 };
 
 }  // namespace epx_fixture

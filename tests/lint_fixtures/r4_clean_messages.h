@@ -1,60 +1,49 @@
-// Fixture: complete codecs — must NOT trip epx-lint R4.
+// Fixture: complete layouts — must NOT trip epx-lint R4.
 #pragma once
 #include <cstdint>
+#include <memory>
 
 namespace epx_fixture {
 
-struct Writer {
-  void varint(uint64_t) {}
-  void u32(uint32_t) {}
-  void u8(uint8_t) {}
+enum class MsgType : uint16_t { kComplete = 1 };
+struct Value {
+  static void fields(auto&, auto&) {}
 };
-struct Reader {
-  uint64_t varint() { return 0; }
-  uint32_t u32() { return 0; }
-  uint8_t u8() { return 0; }
-};
+std::shared_ptr<const Value> make_default();
 
 struct CompleteMsg {
+  static constexpr MsgType kType = MsgType::kComplete;  // not a data member
   uint64_t stream = 0;
   uint32_t epoch = 0;
   bool urgent = false;
+  std::shared_ptr<const Value> value = make_default();
 
-  void encode(Writer& w) const {
-    w.varint(stream);
-    w.u32(epoch);
-    w.u8(urgent ? 1 : 0);
-  }
-  static CompleteMsg decode(Reader& r) {
-    CompleteMsg m;
-    m.stream = r.varint();
-    m.epoch = r.u32();
-    m.urgent = r.u8() != 0;
-    return m;
+  CompleteMsg() = default;
+  CompleteMsg(uint64_t s, uint32_t e) : stream(s), epoch(e) {}
+
+  static void fields(auto& m, auto& io) {
+    io.varint(m.stream);
+    io.u32(m.epoch);
+    io.u8(m.urgent);
+    io.nested(m.value);
   }
 };
 
-/// Flag-gated optional fields still appear in BOTH encode and decode —
-/// the gate changes when the bytes exist, not who handles them.
+/// Flag-gated optional fields still appear in the list — the gate
+/// changes when the bytes exist, not who lists them.
 struct GatedTraceMsg {
   uint64_t command_id = 0;
   uint64_t trace = 0;
 
   static bool trace_on_wire() { return false; }
 
-  void encode(Writer& w) const {
-    w.varint(command_id);
-    if (trace_on_wire()) w.varint(trace);
-  }
-  static GatedTraceMsg decode(Reader& r) {
-    GatedTraceMsg m;
-    m.command_id = r.varint();
-    if (trace_on_wire()) m.trace = r.varint();
-    return m;
+  static void fields(auto& m, auto& io) {
+    io.varint(m.command_id);
+    if (trace_on_wire()) io.varint(m.trace);
   }
 };
 
-/// Plain config structs without an encode path are not wire messages and
+/// Plain config structs without a fields list are not wire structs and
 /// are ignored by R4.
 struct NotAWireStruct {
   uint64_t anything = 0;

@@ -4,7 +4,7 @@
 //   1. kOrphan: enum kind with no wire struct anywhere (dead kind)
 //   2. PongMsg: never sent
 //   3. PongMsg: never handled by any role
-//   4. PongMsg: no decode()
+//   4. PongMsg: no fields list
 //   5. PongMsg: never registered with the codec
 #pragma once
 
@@ -14,20 +14,17 @@ enum class MsgType : uint16_t {
   kOrphan,  // planted: no struct ever implements this kind
 };
 
-struct PingMsg final : Message {
-  MsgType type() const override { return MsgType::kPing; }
-  size_t body_size() const override { return 4; }
-  void encode(Writer& w) const override { w.u32(x); }
-  static std::shared_ptr<Message> decode(Reader& r);
+struct PingMsg final : Wire<PingMsg> {
+  static constexpr MsgType kType = MsgType::kPing;
   uint32_t x = 0;
+
+  static void fields(auto& m, auto& io) { io.u32(m.x); }
 };
 
-// Planted: complete wire struct, but nothing sends, handles, decodes or
+// Planted: a kind and a member, but nothing lists, sends, handles or
 // registers it.
 struct PongMsg final : Message {
-  MsgType type() const override { return MsgType::kPong; }
-  size_t body_size() const override { return 4; }
-  void encode(Writer& w) const override { w.u32(y); }
+  static constexpr MsgType kType = MsgType::kPong;
   uint32_t y = 0;
 };
 

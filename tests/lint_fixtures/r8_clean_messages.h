@@ -1,6 +1,6 @@
 // R8 fixture (clean): the same mini protocol with every kind fully
-// wired — each enum kind has a struct, every struct is sent, decoded,
-// registered and handled by the role's dispatch.
+// wired — each enum kind has a struct with a fields list, and every
+// struct is sent, registered and handled by the role's dispatch.
 #pragma once
 
 enum class MsgType : uint16_t {
@@ -8,20 +8,18 @@ enum class MsgType : uint16_t {
   kPong,
 };
 
-struct PingMsg final : Message {
-  MsgType type() const override { return MsgType::kPing; }
-  size_t body_size() const override { return 4; }
-  void encode(Writer& w) const override { w.u32(x); }
-  static std::shared_ptr<Message> decode(Reader& r);
+struct PingMsg final : Wire<PingMsg> {
+  static constexpr MsgType kType = MsgType::kPing;
   uint32_t x = 0;
+
+  static void fields(auto& m, auto& io) { io.u32(m.x); }
 };
 
-struct PongMsg final : Message {
-  MsgType type() const override { return MsgType::kPong; }
-  size_t body_size() const override { return 4; }
-  void encode(Writer& w) const override { w.u32(y); }
-  static std::shared_ptr<Message> decode(Reader& r);
+struct PongMsg final : Wire<PongMsg> {
+  static constexpr MsgType kType = MsgType::kPong;
   uint32_t y = 0;
+
+  static void fields(auto& m, auto& io) { io.u32(m.y); }
 };
 
 inline void register_mini_messages(MessageCodec& codec) {

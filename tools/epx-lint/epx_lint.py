@@ -31,14 +31,15 @@ RULES = {
     "R1": "no wall-clock / nondeterministic sources in src/ (sim time and util/rng only)",
     "R2": "no iteration over unordered containers (hash order leaks into behaviour)",
     "R3": "no naked new/delete/malloc outside the pool and event-queue slabs",
-    "R4": "every field of every struct in */messages.h must be encoded AND decoded",
+    "R4": "every data member of a wire struct (one with a `fields` list) appears "
+          "in that list",
     "R5": "no raw process/role pointer captured into timers that outlive the owner",
     "R6": "Status/Result stay [[nodiscard]] and Status-returning calls are consumed",
     "R7": "no unsynchronized static-duration mutable state in src/sim/ (shards run "
           "handlers concurrently; such state must be const, thread_local, atomic, "
           "or one of the locked cross-shard channel types)",
-    "R8": "message-flow exhaustiveness: every MsgType kind has a wire struct, a "
-          "send site, a registered decode, and a handler case in some role "
+    "R8": "message-flow exhaustiveness: every MsgType kind has a wire struct with a "
+          "fields list, a send site, a codec registration, and a handler case in some role "
           "(dead or unhandled message kinds are protocol rot)",
     "R9": "durability-barrier coverage: in any class owning an AcceptorStore, "
           "every send reachable from an on_* handler must sit behind a "
@@ -313,7 +314,7 @@ class FlowModel:
     """
     # kind -> (ctx, line, tag value) from the `enum class MsgType` body.
     enum_kinds: dict = field(default_factory=dict)
-    # struct name -> {"kind", "ctx", "line", "decode"} from */messages.h.
+    # struct name -> {"kind", "ctx", "line", "fields"} from */messages.h.
     structs: dict = field(default_factory=dict)
     kind_struct: dict = field(default_factory=dict)    # kind -> struct name
     sends: dict = field(default_factory=dict)          # kind -> set of rels
@@ -548,12 +549,14 @@ class Linter:
                           "C allocation (malloc/calloc/realloc/free) outside the slabs")
 
     # ----------------------------------------------------------------------
-    # R4: codec completeness for *messages.h
+    # R4: layout completeness of wire structs
     # ----------------------------------------------------------------------
     STRUCT_RE = re.compile(r"\bstruct\s+(\w+)(?:\s+final)?[^;{(]*\{")
     FIELD_RE = re.compile(
         r"^\s*(?!using\b|static\b|typedef\b|struct\b|class\b|enum\b|friend\b|return\b)"
-        r"[A-Za-z_][\w:<>,\s*&]*?[\s&*>]([A-Za-z_]\w*)\s*(?:=[^;]*)?;\s*$")
+        r"[A-Za-z_][\w:<>,\s*&]*?[\s&*>]([A-Za-z_]\w*)\s*;\s*$")
+    INIT_RE = re.compile(r"\s*=[^;]*;\s*$")
+    FIELDS_FN_RE = r"\bstatic\s+void\s+fields\s*\("
 
     def struct_bodies(self, ctx: FileCtx):
         for m in self.STRUCT_RE.finditer(ctx.code):
@@ -573,13 +576,15 @@ class Linter:
         return body[open_idx:end] if end > 0 else None
 
     def top_level_fields(self, body: str):
-        """Field names declared at depth 0 of a struct body."""
+        """Data member names declared at depth 0 of a struct body. A
+        default initializer is dropped first, so `P value = make();`
+        counts while a `Ctor() = default;` declaration does not."""
         fields = []
         depth = 0
-        for rawline in body.splitlines():
-            line = rawline
-            if depth == 0 and "(" not in line:
-                fm = self.FIELD_RE.match(line)
+        for line in body.splitlines():
+            decl = self.INIT_RE.sub(";", line)
+            if depth == 0 and "(" not in decl:
+                fm = self.FIELD_RE.match(decl)
                 if fm:
                     fields.append(fm.group(1))
             depth += line.count("{") - line.count("}")
@@ -588,40 +593,21 @@ class Linter:
 
     def check_r4(self, ctx: FileCtx):
         rel = self.effective_rel(ctx)
-        if not (rel.startswith("src/") and rel.endswith("messages.h")):
+        if not (rel.startswith("src/") and rel.endswith(".h")):
             return
-        # Paired .cc holding the out-of-line decode() definitions.
-        cc_path = ctx.path[:-2] + ".cc"
-        cc_ctx = self.ctx(cc_path) if os.path.exists(cc_path) else None
         for name, body_start, body in self.struct_bodies(ctx):
-            encode_body = self.member_fn_body(
-                body, r"\bvoid\s+encode\s*\(\s*Writer\s*&\s*\w*\s*\)")
-            decode_body = self.member_fn_body(
-                body, r"\bdecode\s*\(\s*Reader\s*&\s*\w*\s*\)")
-            if decode_body is None and cc_ctx is not None:
-                decode_body = self.member_fn_body(
-                    cc_ctx.code, r"\b" + re.escape(name) + r"\s*::\s*decode\s*\(")
-            if encode_body is None and decode_body is None:
+            # The fields list is the struct's one wire layout: net::Wire
+            # sizes, encodes and decodes it, so a member missing from it
+            # never reaches the wire.
+            fields_body = self.member_fn_body(body, self.FIELDS_FN_RE)
+            if fields_body is None:
                 continue  # not a wire struct
             lineno = line_of(ctx.code, body_start)
-            if encode_body is None:
-                self.emit("R4", ctx, lineno, f"struct {name}: missing encode(Writer&)")
-                continue
-            if decode_body is None:
-                self.emit("R4", ctx, lineno,
-                          f"struct {name}: missing decode(Reader&) (header or paired .cc)")
-                continue
             for fld in self.top_level_fields(body):
-                tok = re.compile(r"\b" + re.escape(fld) + r"\b")
-                in_enc = bool(tok.search(encode_body))
-                in_dec = bool(tok.search(decode_body))
-                if not in_enc or not in_dec:
-                    missing = [side for side, ok in (("encode", in_enc), ("decode", in_dec))
-                               if not ok]
+                if not re.search(r"\b" + re.escape(fld) + r"\b", fields_body):
                     self.emit("R4", ctx, lineno,
-                              f"struct {name}: field '{fld}' missing from its "
-                              f"{' and '.join(missing)} path (codec would silently "
-                              "drop it on the wire)")
+                              f"struct {name}: field '{fld}' missing from its fields "
+                              "list (the codec would silently drop it on the wire)")
 
     # ----------------------------------------------------------------------
     # R5: lifetime-unsafe captures into timers
@@ -915,27 +901,21 @@ class Linter:
                 off += len(seg) + 1
         # -- wire structs (any */messages.h) -------------------------------
         if rel.endswith("messages.h"):
-            cc_path = ctx.path[:-2] + ".cc"
-            cc_ctx = self.ctx(cc_path) if os.path.exists(cc_path) else None
             for name, body_start, body in self.struct_bodies(ctx):
                 km = self.KIND_REF_RE.search(body)
                 if not km:
                     continue  # helper struct, not a wire message
-                has_decode = bool(re.search(r"\bdecode\s*\(", body))
-                if not has_decode and cc_ctx is not None:
-                    has_decode = bool(re.search(
-                        r"\b" + re.escape(name) + r"\s*::\s*decode\s*\(", cc_ctx.code))
                 fl.structs[name] = {"kind": km.group(1), "ctx": ctx,
                                     "line": line_of(code, body_start),
-                                    "decode": has_decode}
+                                    "fields": bool(re.search(self.FIELDS_FN_RE, body))}
                 fl.kind_struct[km.group(1)] = name
         # -- registrations (any src/ file) ---------------------------------
         for m in self.REGISTER_RE.finditer(code):
             fl.registrations.setdefault(m.group(1), set()).add(rel)
         # -- handler cases / send sites: roles only, not the codec layer ---
-        # (decode() impls in *messages.cc build messages but don't send, and
+        # (net/wire.h's decode builds messages but doesn't send, and
         # net/message.cc's msg_type_name debug table is not a dispatcher).
-        if not rel.endswith(("messages.cc", "net/message.h", "net/message.cc")):
+        if not rel.endswith(("messages.cc", "net/message.h", "net/message.cc", "net/wire.h")):
             for pat in (self.CASE_RE, self.TYPE_CMP_RE):
                 for m in pat.finditer(code):
                     fl.handlers.setdefault(m.group(1), set()).add(rel)
@@ -1080,10 +1060,10 @@ class Linter:
                 self.emit("R8", sctx, line,
                           f"message {name} (k{kind}) is never handled: no "
                           f"`case MsgType::k{kind}` or type() comparison in any role")
-            if not info["decode"]:
+            if not info["fields"]:
                 self.emit("R8", sctx, line,
-                          f"message {name} (k{kind}) has no decode() in the header "
-                          "or its paired messages.cc")
+                          f"message {name} (k{kind}) has no fields list: net::Wire "
+                          "cannot size, encode or decode it")
             if kind not in fl.registrations:
                 self.emit("R8", sctx, line,
                           f"message {name} (k{kind}) is never registered with the "

@@ -32,7 +32,7 @@ BAD = [
     ("r3_slotlog_bad.cc", "R3", 2),
     # The acceptor_store journal slab, likewise scoped off-allowlist.
     ("r3_storage_bad.cc", "R3", 2),
-    ("r4_bad_messages.h", "R4", 3),
+    ("r4_bad_messages.h", "R4", 4),
     ("r5_bad.cc", "R5", 4),
     ("r6_bad.cc", "R6", 3),
     ("r6_bad_status.h", "R6", 2),
@@ -70,6 +70,11 @@ CLEAN = [
 # a copy of src/ and asserts the rule catches exactly that bug — the
 # "would the analyzer have caught this refactor?" proof.
 MUTATIONS = [
+    ("R4 catches a field dropped from a fields list",
+     "paxos/messages.h",
+     "    io.u32(m.accept_count);\n",
+     "",
+     "R4", "AcceptMsg: field 'accept_count'"),
     ("R8 catches a deleted handler case",
      "paxos/acceptor.cc",
      "    case MsgType::kTrimRequest:\n"
