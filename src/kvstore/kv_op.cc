@@ -1,5 +1,6 @@
 #include "kvstore/kv_op.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace epx::kv {
@@ -37,7 +38,7 @@ std::vector<std::pair<std::string, std::string>> decode_pairs(std::string_view d
   net::Reader r(data);
   std::vector<std::pair<std::string, std::string>> out;
   const uint64_t n = r.varint();
-  out.reserve(n);
+  out.reserve(std::min<uint64_t>(n, r.remaining()));  // a pair takes >= 2 bytes
   for (uint64_t i = 0; i < n && r.ok(); ++i) {
     std::string k = r.bytes();
     std::string v = r.bytes();

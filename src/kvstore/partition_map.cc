@@ -72,7 +72,7 @@ PartitionMap PartitionMap::deserialize(std::string_view data) {
   net::Reader r(data);
   std::vector<PartitionEntry> entries;
   const uint64_t n = r.varint();
-  entries.reserve(n);
+  entries.reserve(std::min<uint64_t>(n, r.remaining()));  // an entry takes >= 18 bytes
   for (uint64_t i = 0; i < n && r.ok(); ++i) {
     PartitionEntry e;
     e.partition_id = static_cast<uint32_t>(r.varint());
