@@ -163,8 +163,6 @@ void Replica::on_deliver(const Command& cmd, StreamId stream) {
   delivered_total_->add(t);
   delivered_bytes_->add(t, cmd.payload_bytes());
   per_stream_counter(stream).add(t);
-  trace().record(t, obs::TraceKind::kDeliver, id(), stream, cmd.id,
-                 cmd.payload_bytes());
   monitors().on_deliver(group(), id(), stream, cmd.id, t);
   if (spans().enabled()) {
     // The merger hold ends here: kDeliver closes merge.skew_wait against

@@ -3,8 +3,9 @@
 //
 // `--trace-out=<path>` switches a run into traced mode: causal lifecycle
 // spans are collected (obs/span.h), the invariant monitors are armed
-// (obs/monitor.h), the trace ring records hot data-plane events, and the
-// flight recorder gets a dump path next to the trace file. After the run,
+// (obs/monitor.h), and the flight recorder gets a dump path next to the
+// trace file. The trace ring records the same control-plane events as in
+// an untraced run; per-command stages live in the spans. After the run,
 // finish() writes the Chrome trace-event JSON (open it in Perfetto or
 // chrome://tracing) and prints the per-stage latency breakdown.
 //
@@ -46,13 +47,12 @@ struct TraceFlags {
     return flags;
   }
 
-  /// Arms spans, monitors, verbose ring tracing and the flight-recorder
-  /// dump path. Call right after cluster construction, before any load.
+  /// Arms spans, monitors and the flight-recorder dump path. Call right
+  /// after cluster construction, before any load.
   void enable(sim::Simulation& sim) const {
     if (!enabled()) return;
     sim.spans().set_enabled(true);
     sim.spans().set_sample_every(sample);
-    sim.trace().set_verbose(true);
     sim.monitors().set_enabled(true);
     sim.flight_recorder().set_path_prefix(out + ".flight.");
   }

@@ -6,9 +6,6 @@ namespace epx::obs {
 
 const char* trace_kind_name(TraceKind kind) {
   switch (kind) {
-    case TraceKind::kPropose: return "propose";
-    case TraceKind::kDecide: return "decide";
-    case TraceKind::kDeliver: return "deliver";
     case TraceKind::kSkipRun: return "skip-run";
     case TraceKind::kSubscribeBegin: return "subscribe-begin";
     case TraceKind::kMergePoint: return "merge-point";

@@ -227,8 +227,6 @@ void Acceptor::finish_accept(InstanceId instance, Ballot ballot, ProposalPtr val
     // collapsed into an equivalent skip run, preserving first_slot and
     // slot_count() without shipping the payload bytes again.
     decisions_->add(now());
-    trace().record(now(), obs::TraceKind::kDecide, id(), config_.stream, instance,
-                   value->slot_count());
     if (spans().enabled()) {
       if (store_->durable()) {
         for (const Command& c : value->commands) {

@@ -237,8 +237,6 @@ void Coordinator::propose(Proposal value) {
   value.first_slot = next_slot_;
   next_slot_ += value.slot_count();
   slots_this_window_ += value.slot_count();
-  trace().record(now(), obs::TraceKind::kPropose, id(), config_.stream, instance,
-                 value.slot_count());
   if (spans().enabled()) {
     for (const Command& c : value.commands) {
       spans().record(c.id, obs::SpanStage::kPropose, now(), id(), config_.stream);

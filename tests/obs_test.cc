@@ -233,16 +233,6 @@ TEST(TraceTest, ControlEventsAlwaysRecorded) {
   EXPECT_EQ(events[0].a, 7u);
 }
 
-TEST(TraceTest, HotEventsGatedBehindVerbose) {
-  obs::Trace trace(16);
-  trace.record(1, obs::TraceKind::kDeliver);
-  EXPECT_EQ(trace.size(), 0u);
-  EXPECT_EQ(trace.recorded(), 0u);
-  trace.set_verbose(true);
-  trace.record(2, obs::TraceKind::kDeliver);
-  EXPECT_EQ(trace.size(), 1u);
-}
-
 TEST(TraceTest, RingOverwritesOldestAndCountsDropped) {
   obs::Trace trace(4);
   for (Tick t = 0; t < 10; ++t) {
