@@ -130,7 +130,8 @@ class SpanCollector {
  private:
   void record_impl(uint64_t trace, SpanStage stage, Tick now, uint32_t node,
                    uint32_t stream, Tick duration);
-  void publish(SpanStage stage, const SpanRecord& rec, const SpanEvent& ev);
+  /// Feeds the timers every interval the span's newest event closes.
+  void publish(const SpanRecord& rec);
   void record_metric(size_t metric, uint32_t stream, Tick now, Tick value);
   void append_span_events(std::string& out, uint64_t trace, const SpanRecord& rec,
                           std::map<uint32_t, uint32_t>& nodes, size_t& count) const;
