@@ -3,8 +3,9 @@
 // A Message is an immutable, reference-counted value exchanged between
 // processes. Each concrete type reports its wire size (for the network's
 // bandwidth model) and can encode/decode itself through the binary codec;
-// the decode path is driven by a per-type registry so codec round-trips
-// can be tested uniformly.
+// the protocol messages derive all three from one field list through
+// net::Wire (net/wire.h). The decode path is driven by a per-type
+// registry so codec round-trips can be tested uniformly.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +74,7 @@ class Message {
   virtual MsgType type() const = 0;
 
   /// Size of the encoded body in bytes. Used by the bandwidth model;
-  /// must match what encode() produces (asserted in codec tests).
+  /// must match what encode() produces (net::Wire guarantees it).
   virtual size_t body_size() const = 0;
 
   /// Serialises the body into `w`.
