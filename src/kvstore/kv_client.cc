@@ -59,24 +59,23 @@ void KvClient::start() {
 void KvClient::stop() {
   running_ = false;
   inflight_.clear();
-  commands_.clear();
 }
 
-KvOp KvClient::make_op() {
+std::string KvClient::make_payload() {
   KvOp op;
   const double dice = rng_.uniform_double();
   const size_t key_index = rng_.uniform(config_.key_space);
+  const std::string key = key_name(key_index);
+  op.key = key;
+  std::string end_key;
   if (dice < config_.getrange_ratio) {
     op.kind = OpKind::kGetRange;
-    const size_t start = key_index;
-    op.key = key_name(start);
-    op.end_key = key_name(std::min(start + config_.range_span, config_.key_space));
+    end_key = key_name(std::min(key_index + config_.range_span, config_.key_space));
+    op.end_key = end_key;
   } else if (dice < config_.getrange_ratio + config_.get_ratio) {
     op.kind = OpKind::kGet;
-    op.key = key_name(key_index);
   } else {
     op.kind = OpKind::kPut;
-    op.key = key_name(key_index);
     // Unique value per put: required by the linearizability checker and
     // padded to the configured size. Formatted into a flat buffer:
     // string concatenation here trips GCC 12's -Wrestrict false
@@ -85,12 +84,11 @@ KvOp KvClient::make_op() {
     value_buf[0] = 'v';
     const auto conv = std::to_chars(value_buf + 1, value_buf + sizeof(value_buf),
                                     paxos::make_command_id(id(), seq_));
-    op.value.assign(value_buf, conv.ptr);
-    if (op.value.size() < config_.value_bytes) {
-      op.value.resize(config_.value_bytes, 'x');
-    }
+    value_.assign(value_buf, conv.ptr);
+    if (value_.size() < config_.value_bytes) value_.resize(config_.value_bytes, 'x');
+    op.value = value_;
   }
-  return op;
+  return op.encode();
 }
 
 void KvClient::issue(size_t thread_index) {
@@ -98,29 +96,22 @@ void KvClient::issue(size_t thread_index) {
   const uint64_t cmd_id = paxos::make_command_id(id(), seq_++);
   Outstanding& t = threads_[thread_index];
   t.thread_index = thread_index;
-  t.cmd_id = cmd_id;
-  t.op = make_op();
+  t.cmd.kind = paxos::CommandKind::kApp;
+  t.cmd.id = cmd_id;
+  t.cmd.client = id();
+  t.cmd.payload = std::make_shared<const std::string>(make_payload());
+  t.op = KvOp::decode(*t.cmd.payload).value();
   t.sent_at = now();
   t.shards_received.clear();
   t.shards_expected = t.op.is_multi_partition() ? std::max<size_t>(map_.partition_count(), 1) : 1;
   t.done = false;
-
-  paxos::Command cmd;
-  cmd.kind = paxos::CommandKind::kApp;
-  cmd.id = cmd_id;
-  cmd.client = id();
-  cmd.payload = std::make_shared<const std::string>(t.op.encode());
   inflight_[cmd_id] = thread_index;
-  commands_[cmd_id] = std::move(cmd);
   dispatch(thread_index);
   arm_timeout(thread_index, cmd_id);
 }
 
 void KvClient::dispatch(size_t thread_index) {
   Outstanding& t = threads_[thread_index];
-  auto cmd_it = commands_.find(t.cmd_id);
-  if (cmd_it == commands_.end()) return;
-
   StreamId stream = paxos::kInvalidStream;
   if (t.op.is_multi_partition()) {
     stream = global_stream_;
@@ -131,11 +122,10 @@ void KvClient::dispatch(size_t thread_index) {
   }
   if (stream == paxos::kInvalidStream || !directory_->has(stream)) return;
   if (spans().enabled()) {
-    spans().record(cmd_it->second.id, obs::SpanStage::kClientSend, now(), id(),
-                   stream);
+    spans().record(t.cmd.id, obs::SpanStage::kClientSend, now(), id(), stream);
   }
   send(directory_->get(stream).coordinator,
-       net::make_message<paxos::ClientProposeMsg>(stream, cmd_it->second));
+       net::make_message<paxos::ClientProposeMsg>(stream, t.cmd));
 }
 
 void KvClient::arm_timeout(size_t thread_index, uint64_t cmd_id) {
@@ -150,7 +140,7 @@ void KvClient::arm_timeout(size_t thread_index, uint64_t cmd_id) {
   });
 }
 
-void KvClient::complete(size_t thread_index, const std::string& get_value) {
+void KvClient::complete(size_t thread_index, std::string_view get_value) {
   Outstanding& t = threads_[thread_index];
   t.done = true;
   const Tick latency = now() - t.sent_at;
@@ -190,13 +180,13 @@ void KvClient::on_message(NodeId from, const MessagePtr& msg) {
     if (t.shards_received.size() < t.shards_expected) return;  // waiting for more shards
   }
   inflight_.erase(reply.command_id);
-  commands_.erase(reply.command_id);
   if (spans().enabled()) {
     spans().record(reply.command_id, obs::SpanStage::kReply, now(), id(),
                    obs::kSpanNoStream);
   }
-  const std::string value = reply.payload && !t.op.is_multi_partition() ? *reply.payload : "";
-  complete(thread_index, value);
+  complete(thread_index, reply.payload && !t.op.is_multi_partition()
+                             ? std::string_view(*reply.payload)
+                             : std::string_view());
 }
 
 }  // namespace epx::kv

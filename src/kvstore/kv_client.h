@@ -82,8 +82,8 @@ class KvClient : public sim::Process {
  private:
   struct Outstanding {
     size_t thread_index = 0;
-    uint64_t cmd_id = 0;
-    KvOp op;
+    paxos::Command cmd;
+    KvOp op;  ///< views into cmd.payload
     Tick sent_at = 0;
     std::unordered_set<uint32_t> shards_received;  // getrange partials
     size_t shards_expected = 1;
@@ -92,9 +92,9 @@ class KvClient : public sim::Process {
 
   void issue(size_t thread_index);
   void dispatch(size_t thread_index);
-  void complete(size_t thread_index, const std::string& get_value);
+  void complete(size_t thread_index, std::string_view get_value);
   void arm_timeout(size_t thread_index, uint64_t cmd_id);
-  KvOp make_op();
+  std::string make_payload();
 
   const paxos::StreamDirectory* directory_;
   Config config_;
@@ -107,7 +107,7 @@ class KvClient : public sim::Process {
 
   std::vector<Outstanding> threads_;
   std::unordered_map<uint64_t, size_t> inflight_;  // cmd id -> thread
-  std::unordered_map<uint64_t, paxos::Command> commands_;
+  std::string value_;  // scratch for the put value being encoded
 
   // Registry-owned handles, labelled {node=<name>}.
   obs::Timer* latency_;

@@ -5,22 +5,42 @@
 
 namespace epx::kv {
 
-std::string KvOp::encode() const {
-  net::Writer w;
-  w.u8(static_cast<uint8_t>(kind));
-  w.bytes(key);
-  w.bytes(value);
-  w.bytes(end_key);
-  return std::string(reinterpret_cast<const char*>(w.data().data()), w.size());
+void append_varint(std::string& out, uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>(static_cast<uint8_t>(v) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
 }
 
-KvOp KvOp::decode(std::string_view payload) {
+void append_bytes(std::string& out, std::string_view data) {
+  append_varint(out, data.size());
+  out.append(data);
+}
+
+std::string KvOp::encode() const {
+  using net::Writer;
+  std::string out;
+  out.reserve(1 + Writer::bytes_size(key.size()) + Writer::bytes_size(value.size()) +
+              Writer::bytes_size(end_key.size()));
+  out.push_back(static_cast<char>(kind));
+  append_bytes(out, key);
+  append_bytes(out, value);
+  append_bytes(out, end_key);
+  return out;
+}
+
+Result<KvOp> KvOp::decode(std::string_view payload) {
   net::Reader r(payload);
+  const uint8_t kind = r.u8();
   KvOp op;
-  op.kind = static_cast<OpKind>(r.u8());
-  op.key = r.bytes();
-  op.value = r.bytes();
-  op.end_key = r.bytes();
+  op.key = r.bytes_view();
+  op.value = r.bytes_view();
+  op.end_key = r.bytes_view();
+  if (!r.ok() || kind > static_cast<uint8_t>(OpKind::kGetRange)) {
+    return Status::corruption("malformed kv op");
+  }
+  op.kind = static_cast<OpKind>(kind);
   return op;
 }
 

@@ -5,11 +5,13 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "net/buffer.h"
 #include "util/hash.h"
+#include "util/status.h"
 
 namespace epx::kv {
 
@@ -19,19 +21,30 @@ enum class OpKind : uint8_t {
   kGetRange = 2,  ///< consistent scan of [key, end_key)
 };
 
+/// A view of one operation. The fields point into storage the caller
+/// keeps alive: the encoded payload for a decoded op, the caller's own
+/// strings for one about to be encoded.
 struct KvOp {
   OpKind kind = OpKind::kGet;
-  std::string key;
-  std::string value;    ///< put payload
-  std::string end_key;  ///< getrange upper bound (exclusive)
+  std::string_view key;
+  std::string_view value;    ///< put payload
+  std::string_view end_key;  ///< getrange upper bound (exclusive)
 
   bool is_multi_partition() const { return kind == OpKind::kGetRange; }
   uint64_t hash() const { return key_hash(key); }
 
-  /// Serialises into a Command payload string.
+  /// Serialises into a Command payload string, allocated once at its
+  /// exact size.
   std::string encode() const;
-  static KvOp decode(std::string_view payload);
+  /// Views into `payload`; fails on a truncated payload or an unknown
+  /// kind.
+  static Result<KvOp> decode(std::string_view payload);
 };
+
+/// Appends `data` in net::Writer::bytes() layout (LEB128 length, then
+/// the bytes), for encoders that size their output string up front.
+void append_bytes(std::string& out, std::string_view data);
+void append_varint(std::string& out, uint64_t v);
 
 /// Encodes a list of key/value pairs (getrange partial results).
 std::string encode_pairs(const std::vector<std::pair<std::string, std::string>>& pairs);

@@ -4,6 +4,10 @@
 
 namespace epx::kv {
 
+namespace {
+constexpr uint8_t kMalformedOp = 2;  // ReplyMsg::status: the payload did not decode
+}  // namespace
+
 KvReplica::KvReplica(sim::Simulation* sim, sim::Network* net, NodeId id, std::string name,
                      const paxos::StreamDirectory* directory, Replica::Config base,
                      KvConfig kv_config)
@@ -35,15 +39,8 @@ void KvReplica::set_ownership(uint32_t partition_id, uint64_t hash_lo, uint64_t 
 void KvReplica::set_peers(std::vector<PeerReplica> peers) { peers_ = std::move(peers); }
 
 size_t KvReplica::purge_unowned() {
-  size_t purged = 0;
-  for (auto it = store_.begin(); it != store_.end();) {
-    if (!owns(key_hash(it->first))) {
-      it = store_.erase(it);
-      ++purged;
-    } else {
-      ++it;
-    }
-  }
+  const size_t purged =
+      store_.erase_if([this](std::string_view key) { return !owns(key_hash(key)); });
   charge(static_cast<Tick>(purged) * kv_config_.scan_cpu_per_key);
   return purged;
 }
@@ -59,11 +56,11 @@ void KvReplica::absorb_store(const std::string& encoded_pairs, bool overwrite) {
   auto pairs = decode_pairs(encoded_pairs);
   charge(static_cast<Tick>(pairs.size()) * kv_config_.scan_cpu_per_key);
   for (auto& [k, v] : pairs) {
-    if (overwrite) {
-      store_[std::move(k)] = std::move(v);
-    } else {
-      store_.try_emplace(std::move(k), std::move(v));
-    }
+    if (!overwrite && store_.get(k)) continue;
+    // Each absorbed value owns its bytes, so no entry pins the blob.
+    auto owner = std::make_shared<const std::string>(std::move(v));
+    const std::string_view bytes = *owner;
+    store_.put(k, bytes, std::move(owner));
   }
 }
 
@@ -79,7 +76,12 @@ void KvReplica::join_via(NodeId donor) {
 
 void KvReplica::on_kv_deliver(const Command& cmd) {
   if (!cmd.payload) return;
-  KvOp op = KvOp::decode(*cmd.payload);
+  Result<KvOp> decoded = KvOp::decode(*cmd.payload);
+  if (!decoded.is_ok()) {
+    reply(cmd, kMalformedOp);  // the client completes on any reply
+    return;
+  }
+  const KvOp& op = decoded.value();
   if (!op.is_multi_partition()) {
     // Single-partition commands never need to wait; but ordering with a
     // blocked multi-partition command ahead of them must be preserved.
@@ -88,7 +90,7 @@ void KvReplica::on_kv_deliver(const Command& cmd) {
       return;
     }
   }
-  exec_queue_.push_back(PendingExec{cmd, std::move(op), false});
+  exec_queue_.push_back(PendingExec{cmd, op, false});
   drain_exec_queue();
 }
 
@@ -145,15 +147,15 @@ void KvReplica::execute_single(const Command& cmd, const KvOp& op) {
   executed_->add(now());
   switch (op.kind) {
     case OpKind::kPut:
-      store_[op.key] = op.value;
+      store_.put(op.key, op.value, cmd.payload);
       reply(cmd, 0);
       break;
     case OpKind::kGet: {
-      auto it = store_.find(op.key);
-      if (it == store_.end()) {
+      const std::optional<std::string_view> value = store_.get(op.key);
+      if (!value) {
         reply(cmd, 1);
       } else {
-        reply(cmd, 0, std::make_shared<const std::string>(it->second));
+        reply(cmd, 0, std::make_shared<const std::string>(*value));
       }
       break;
     }
@@ -164,18 +166,11 @@ void KvReplica::execute_single(const Command& cmd, const KvOp& op) {
 
 void KvReplica::execute_getrange(const Command& cmd, const KvOp& op) {
   executed_->add(now());
-  std::vector<std::pair<std::string, std::string>> result;
-  auto it = store_.lower_bound(op.key);
   size_t visited = 0;
-  for (; it != store_.end() && it->first < op.end_key; ++it) {
-    result.emplace_back(it->first, it->second);
-    ++visited;
-  }
+  auto result = std::make_shared<const std::string>(
+      store_.encode_range(op.key, op.end_key, &visited));
   charge(static_cast<Tick>(visited) * kv_config_.scan_cpu_per_key);
-  auto msg = net::make_mutable_message<multicast::ReplyMsg>(cmd.id, 0);
-  msg->shard = kv_config_.partition_id;
-  msg->payload = std::make_shared<const std::string>(encode_pairs(result));
-  if (cmd.client != net::kInvalidNode) send(cmd.client, std::move(msg));
+  reply(cmd, 0, std::move(result));
 }
 
 void KvReplica::reply(const Command& cmd, uint8_t status,
@@ -215,15 +210,15 @@ void KvReplica::on_app_message(NodeId from, const MessagePtr& msg) {
       reply_msg->clean =
           merger().phase() == elastic::ElasticMerger::Phase::kNormal;
       if (reply_msg->clean) {
-        std::vector<std::pair<std::string, std::string>> pairs(store_.begin(),
-                                                               store_.end());
-        reply_msg->store = std::make_shared<const std::string>(encode_pairs(pairs));
+        size_t keys = 0;
+        reply_msg->store = std::make_shared<const std::string>(
+            store_.encode_range({}, std::nullopt, &keys));
         snapshot_bytes_->add(now(), reply_msg->store->size());
         for (StreamId s : merger().subscriptions()) {
           reply_msg->stream_positions.emplace_back(s, merger().queue(s).next_index());
         }
         reply_msg->next_stream = merger().current_stream();
-        charge(static_cast<Tick>(pairs.size()) * kv_config_.scan_cpu_per_key);
+        charge(static_cast<Tick>(keys) * kv_config_.scan_cpu_per_key);
       }
       send(from, std::move(reply_msg));
       break;

@@ -4,22 +4,24 @@
 // Single-partition commands (put/get) execute immediately in merged
 // delivery order; commands whose key the replica does not own are
 // discarded — the client re-sends to the correct partition after a
-// timeout (paper §VII-D). Multi-partition commands (getrange) arrive on
-// the shared stream at every replica and are coordinated with direct
-// signal messages: execution blocks until every other involved partition
-// has signalled delivery, which preserves linearizability across shards.
+// timeout (paper §VII-D). A payload that does not decode changes
+// nothing and gets a reply with a non-zero status. Multi-partition
+// commands (getrange) arrive on the shared stream at every replica and
+// are coordinated with direct signal messages: execution blocks until
+// every other involved partition has signalled delivery, which
+// preserves linearizability across shards.
 //
 // The replica also serves snapshots (store + merger cut) for state
 // transfer when a new replica joins the group.
 #pragma once
 
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "elastic/replica.h"
 #include "kvstore/kv_messages.h"
 #include "kvstore/kv_op.h"
+#include "kvstore/kv_store.h"
 #include "kvstore/partition_map.h"
 
 namespace epx::kv {
@@ -63,7 +65,7 @@ class KvReplica : public elastic::Replica {
   bool owns(uint64_t hash) const {
     return hash >= kv_config_.hash_lo && hash <= kv_config_.hash_hi;
   }
-  const std::map<std::string, std::string>& store() const { return store_; }
+  const KvStore& store() const { return store_; }
   // Registry-backed: `kv.executed{node=}`, `kv.discarded{node=}`.
   uint64_t executed() const { return executed_->total(); }
   uint64_t discarded_wrong_partition() const { return discarded_->total(); }
@@ -95,7 +97,7 @@ class KvReplica : public elastic::Replica {
  private:
   struct PendingExec {
     Command cmd;
-    KvOp op;
+    KvOp op;  ///< views into cmd.payload
     bool signalled = false;  ///< our signal batch was sent
   };
 
@@ -109,7 +111,7 @@ class KvReplica : public elastic::Replica {
              std::shared_ptr<const std::string> payload = nullptr);
 
   KvConfig kv_config_;
-  std::map<std::string, std::string> store_;
+  KvStore store_;
   std::vector<PeerReplica> peers_;
   std::deque<PendingExec> exec_queue_;
   std::unordered_map<uint64_t, std::unordered_set<uint32_t>> signals_;

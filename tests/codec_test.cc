@@ -284,10 +284,33 @@ TEST_F(CodecTest, KvOpRoundTrip) {
   op.key = "key000";
   op.end_key = "key999";
   const std::string blob = op.encode();
-  const kv::KvOp d = kv::KvOp::decode(blob);
-  EXPECT_EQ(d.kind, kv::OpKind::kGetRange);
-  EXPECT_EQ(d.key, "key000");
-  EXPECT_EQ(d.end_key, "key999");
+  const Result<kv::KvOp> d = kv::KvOp::decode(blob);
+  ASSERT_TRUE(d.is_ok());
+  EXPECT_EQ(d.value().kind, kv::OpKind::kGetRange);
+  EXPECT_EQ(d.value().key, "key000");
+  EXPECT_EQ(d.value().end_key, "key999");
+
+  // A put payload keeps the Writer layout; a 1 KB value takes a
+  // two-byte length.
+  const std::string value(1024, 'x');
+  kv::KvOp put;
+  put.kind = kv::OpKind::kPut;
+  put.key = "key0000000042";
+  put.value = value;
+  Writer w;
+  w.u8(0);
+  w.bytes(put.key);
+  w.bytes(value);
+  w.bytes("");
+  const std::string put_blob = put.encode();
+  EXPECT_EQ(put_blob,
+            std::string(reinterpret_cast<const char*>(w.data().data()), w.size()));
+
+  // Unknown kinds and truncated payloads do not decode.
+  std::string bad_kind = put_blob;
+  bad_kind[0] = 3;
+  EXPECT_FALSE(kv::KvOp::decode(bad_kind).is_ok());
+  EXPECT_FALSE(kv::KvOp::decode(std::string_view(put_blob).substr(0, 3)).is_ok());
 }
 
 TEST_F(CodecTest, PairListRoundTrip) {

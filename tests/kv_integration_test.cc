@@ -82,7 +82,7 @@ TEST_F(KvIntegrationTest, TwoPartitionsServeDisjointKeys) {
   EXPECT_GT(r2->executed(), 0u);
   // Disjoint ownership: no key stored on both replicas.
   for (const auto& [key, value] : r1->store()) {
-    EXPECT_EQ(r2->store().count(key), 0u) << key << " stored on both partitions";
+    EXPECT_FALSE(r2->store().get(key)) << key << " stored on both partitions";
   }
 }
 
@@ -233,8 +233,8 @@ TEST_F(KvIntegrationTest, SnapshotTransfersStore) {
   ASSERT_GT(donor->store().size(), 0u);
 
   // Simulate the state-transfer payload round-trip.
-  std::vector<std::pair<std::string, std::string>> pairs(donor->store().begin(),
-                                                         donor->store().end());
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (const auto& [key, value] : donor->store()) pairs.emplace_back(key, value.bytes);
   kv::SnapshotReplyMsg snapshot;
   snapshot.store = std::make_shared<const std::string>(kv::encode_pairs(pairs));
   for (auto s : donor->merger().subscriptions()) {

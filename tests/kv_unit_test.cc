@@ -100,6 +100,24 @@ TEST(PartitionMapTest, SplitThenMergeRestoresOriginal) {
 
 // ------------------------------------------------------------ KvReplica --
 
+// Keeps every KV reply addressed to it.
+class ReplySink : public sim::Process {
+ public:
+  ReplySink(sim::Simulation* sim, sim::Network* net, net::NodeId id)
+      : Process(sim, net, id, "reply-sink") {}
+
+  std::vector<net::MessagePtr> replies;
+
+  const multicast::ReplyMsg& reply(size_t i) const {
+    return static_cast<const multicast::ReplyMsg&>(*replies.at(i));
+  }
+
+ protected:
+  void on_message(net::NodeId, const net::MessagePtr& msg) override {
+    if (msg->type() == net::MsgType::kKvReply) replies.push_back(msg);
+  }
+};
+
 class KvReplicaTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -107,17 +125,17 @@ class KvReplicaTest : public ::testing::Test {
     p1 = kvc.add_partition(1);
     kvc.publish();
     replica = kvc.replicas_of(p1)[0];
+    sink = kvc.cluster().spawn<ReplySink>();
   }
 
-  /// Runs a put through the real stream and waits for execution.
-  void ordered_put(const std::string& key, const std::string& value) {
+  /// Orders `payload` through the partition's stream, replies going to
+  /// the sink, and waits for execution.
+  void propose(std::string payload) {
     paxos::Command cmd;
     cmd.id = paxos::make_command_id(500, seq_++);
-    kv::KvOp op;
-    op.kind = OpKind::kPut;
-    op.key = key;
-    op.value = value;
-    cmd.payload = std::make_shared<const std::string>(op.encode());
+    cmd.client = sink->id();
+    cmd.payload = std::make_shared<const std::string>(std::move(payload));
+    last_payload = cmd.payload;
     const auto stream = kvc.stream_of(p1);
     kvc.cluster().controller().send(
         kvc.cluster().directory().get(stream).coordinator,
@@ -125,23 +143,76 @@ class KvReplicaTest : public ::testing::Test {
     kvc.cluster().run_for(100 * kMillisecond);
   }
 
+  static std::string put_payload(const std::string& key, const std::string& value) {
+    kv::KvOp op;
+    op.kind = OpKind::kPut;
+    op.key = key;
+    op.value = value;
+    return op.encode();
+  }
+
+  /// Runs a put through the real stream and waits for execution.
+  void ordered_put(const std::string& key, const std::string& value) {
+    propose(put_payload(key, value));
+  }
+
   harness::KvCluster kvc;
   uint32_t p1 = 0;
   kv::KvReplica* replica = nullptr;
+  ReplySink* sink = nullptr;
+  std::shared_ptr<const std::string> last_payload;
   uint32_t seq_ = 1;
 };
 
 TEST_F(KvReplicaTest, ExecutesOwnedPut) {
   ordered_put("alpha", "1");
-  EXPECT_EQ(replica->store().count("alpha"), 1u);
+  EXPECT_TRUE(replica->store().get("alpha"));
   EXPECT_EQ(replica->executed(), 1u);
+}
+
+/// True when `bytes` lies inside `payload`'s buffer.
+bool inside(std::string_view bytes, const std::string& payload) {
+  const std::less_equal<const char*> le;
+  return le(payload.data(), bytes.data()) &&
+         le(bytes.data() + bytes.size(), payload.data() + payload.size());
+}
+
+TEST_F(KvReplicaTest, PutSharesTheCommandPayload) {
+  const std::string first(64, 'a');
+  ordered_put("alpha", first);
+  const auto first_payload = last_payload;
+  ASSERT_EQ(replica->store().get("alpha"), first);
+  EXPECT_TRUE(inside(*replica->store().get("alpha"), *first_payload));
+  const std::string second(64, 'b');
+  ordered_put("alpha", second);
+  ASSERT_EQ(replica->store().get("alpha"), second);
+  EXPECT_TRUE(inside(*replica->store().get("alpha"), *last_payload));
+}
+
+TEST_F(KvReplicaTest, UnknownKindIsRejectedWithStatus) {
+  std::string payload = put_payload("alpha", "1");
+  payload[0] = 9;  // no such OpKind
+  propose(payload);
+  EXPECT_EQ(replica->store().size(), 0u);
+  EXPECT_EQ(replica->executed(), 0u);
+  ASSERT_EQ(sink->replies.size(), 1u)
+      << "the client must hear back, or it re-sends forever";
+  EXPECT_NE(sink->reply(0).status, 0u);
+}
+
+TEST_F(KvReplicaTest, TruncatedPayloadIsRejectedWithStatus) {
+  propose(put_payload("alpha", "1").substr(0, 3));
+  EXPECT_EQ(replica->store().size(), 0u);
+  EXPECT_EQ(replica->executed(), 0u);
+  ASSERT_EQ(sink->replies.size(), 1u);
+  EXPECT_NE(sink->reply(0).status, 0u);
 }
 
 TEST_F(KvReplicaTest, DiscardsUnownedKeys) {
   // Shrink ownership to nothing-owns-this-key and verify the discard.
   replica->set_ownership(p1, 0, 0);
   ordered_put("alpha", "1");
-  EXPECT_EQ(replica->store().count("alpha"), 0u);
+  EXPECT_FALSE(replica->store().get("alpha"));
   EXPECT_EQ(replica->discarded_wrong_partition(), 1u);
 }
 
@@ -179,15 +250,34 @@ TEST_F(KvReplicaTest, GetRangeScansLexicographicInterval) {
   EXPECT_GE(replica->executed(), 11u);
 }
 
+TEST_F(KvReplicaTest, GetRangeReplyHoldsTheIntervalInKeyOrder) {
+  for (int i = 0; i < 10; ++i) {
+    ordered_put(testing::numbered("key", i), testing::numbered("v", i));
+  }
+  kv::KvOp op;
+  op.kind = OpKind::kGetRange;
+  op.key = "key2";
+  op.end_key = "key6";
+  propose(op.encode());
+  ASSERT_EQ(sink->replies.size(), 11u);  // 10 puts, then the getrange
+  const multicast::ReplyMsg& reply = sink->reply(10);
+  EXPECT_EQ(reply.status, 0u);
+  ASSERT_NE(reply.payload, nullptr);
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"key2", "v2"}, {"key3", "v3"}, {"key4", "v4"}, {"key5", "v5"}};
+  EXPECT_EQ(kv::decode_pairs(*reply.payload), expected);
+  EXPECT_EQ(*reply.payload, kv::encode_pairs(expected));
+}
+
 TEST_F(KvReplicaTest, AbsorbStorePreservesNewerLocalValues) {
   ordered_put("shared", "local-new");
   const std::string blob =
       kv::encode_pairs({{"shared", "remote-old"}, {"other", "remote"}});
   replica->absorb_store(blob, /*overwrite=*/false);
-  EXPECT_EQ(replica->store().at("shared"), "local-new");
-  EXPECT_EQ(replica->store().at("other"), "remote");
+  EXPECT_EQ(replica->store().get("shared"), "local-new");
+  EXPECT_EQ(replica->store().get("other"), "remote");
   replica->absorb_store(blob, /*overwrite=*/true);
-  EXPECT_EQ(replica->store().at("shared"), "remote-old");
+  EXPECT_EQ(replica->store().get("shared"), "remote-old");
 }
 
 }  // namespace
