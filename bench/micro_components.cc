@@ -8,10 +8,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <queue>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "sim/simulation.h"
 #include "util/hash.h"
 #include "util/histogram.h"
+#include "util/id_window.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -117,6 +120,69 @@ void BM_SlotLogStdMapBaseline(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SlotLogStdMapBaseline);
+
+/// Replica delivery dedup: four clients' interleaved ascending command
+/// ids, ~1% of them re-sends of a recently delivered id, into a 2^17
+/// window (the replica's). BM_IdWindowStdSetBaseline runs the same ids
+/// through the std::set + std::deque pair that IdWindow replaced. The
+/// window is filled before timing, so every new id also evicts one.
+constexpr size_t kDedupWindow = size_t{1} << 17;
+
+const std::vector<uint64_t>& replica_delivery_ids() {
+  static const std::vector<uint64_t> ids = [] {
+    Rng rng(17);
+    std::vector<uint64_t> out;
+    uint32_t seq[4] = {};
+    const size_t n = size_t{1} << 20;
+    out.reserve(n);
+    while (out.size() < n) {
+      if (!out.empty() && rng.chance(0.01)) {
+        out.push_back(out[out.size() - 1 - rng.uniform(std::min<size_t>(out.size(), 4096))]);
+      } else {
+        const auto node = static_cast<net::NodeId>(rng.uniform(4));
+        out.push_back(paxos::make_command_id(node + 10, ++seq[node]));
+      }
+    }
+    return out;
+  }();
+  return ids;
+}
+
+template <typename Window>
+void run_dedup_window(benchmark::State& state, Window& window) {
+  const std::vector<uint64_t>& ids = replica_delivery_ids();
+  size_t next = 0;
+  while (next < kDedupWindow) window.insert(ids[next++]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(window.insert(ids[next]));
+    if (++next == ids.size()) next = 0;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
+void BM_IdWindow(benchmark::State& state) {
+  IdWindow window(kDedupWindow);
+  run_dedup_window(state, window);
+}
+BENCHMARK(BM_IdWindow);
+
+void BM_IdWindowStdSetBaseline(benchmark::State& state) {
+  struct SetDequeWindow {
+    std::set<uint64_t> ids;
+    std::deque<uint64_t> order;
+    bool insert(uint64_t id) {
+      if (!ids.insert(id).second) return false;
+      order.push_back(id);
+      if (order.size() > kDedupWindow) {
+        ids.erase(order.front());
+        order.pop_front();
+      }
+      return true;
+    }
+  } window;
+  run_dedup_window(state, window);
+}
+BENCHMARK(BM_IdWindowStdSetBaseline);
 
 /// Decision fan-out from the quorum-completing acceptor: one DecisionMsg
 /// per learner, all sharing the stored proposal (a refcount bump each

@@ -6,6 +6,13 @@ namespace epx::elastic {
 
 using net::MsgType;
 
+namespace {
+// The order monitor's integrity check trusts this window: a repeat it
+// flags must be one this replica still remembers.
+constexpr size_t kSeenWindow = 1 << 17;
+static_assert(obs::MonitorHub::kDedupWindow <= kSeenWindow);
+}  // namespace
+
 Replica::Replica(sim::Simulation* sim, sim::Network* net, NodeId id, std::string name,
                  const paxos::StreamDirectory* directory, Config config)
     : Process(sim, net, id, std::move(name)),
@@ -17,7 +24,8 @@ Replica::Replica(sim::Simulation* sim, sim::Network* net, NodeId id, std::string
                   [this](StreamId s) { stop_learner(s); },
                   [this](const Command& c, StreamId s) { on_deliver(c, s); },
                   [this](const Command& c) { on_control(c); },
-              }) {
+              }),
+      seen_(kSeenWindow) {
   const obs::Labels labels{{"node", this->name()}};
   delivered_total_ = &metrics().counter("replica.delivered", labels);
   delivered_bytes_ = &metrics().counter("replica.bytes", labels);
@@ -133,7 +141,7 @@ void Replica::on_crash() {
 }
 
 void Replica::on_deliver(const Command& cmd, StreamId stream) {
-  if (!seen_ids_.insert(cmd.id).second) {
+  if (!seen_.insert(cmd.id)) {
     // Duplicate ordering (client re-send): execution is suppressed but
     // the acknowledgment is re-sent. The duplicate exists precisely
     // because the client saw no reply for the first ordering; staying
@@ -145,15 +153,6 @@ void Replica::on_deliver(const Command& cmd, StreamId stream) {
       send(cmd.client, net::make_mutable_message<multicast::ReplyMsg>(cmd.id, 0));
     }
     return;
-  }
-  seen_order_.push_back(cmd.id);
-  // The order monitor's integrity check trusts this window: a repeat it
-  // flags must be one this replica still remembers.
-  constexpr size_t kSeenWindow = 1 << 17;
-  static_assert(obs::MonitorHub::kDedupWindow <= kSeenWindow);
-  if (seen_order_.size() > kSeenWindow) {
-    seen_ids_.erase(seen_order_.front());
-    seen_order_.pop_front();
   }
   const Tick apply_cost =
       config_.apply_cpu_per_cmd +

@@ -12,16 +12,15 @@
 // replica adds request execution and multi-partition signals).
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
-#include <set>
 
 #include "elastic/elastic_merger.h"
 #include "multicast/messages.h"
 #include "paxos/learner.h"
 #include "paxos/stream_directory.h"
 #include "sim/process.h"
+#include "util/id_window.h"
 #include "util/timeseries.h"
 
 namespace epx::elastic {
@@ -118,12 +117,12 @@ class Replica : public sim::Process {
   obs::Counter* delivered_bytes_;
   std::vector<obs::Counter*> per_stream_delivered_;
 
-  // Delivery dedup. Client re-sends can legitimately be ordered twice
-  // (lost reply, re-partitioning); exactly-once execution is restored
-  // here. Deterministic across a group because every member sees the
-  // same merged sequence.
-  std::set<uint64_t> seen_ids_;
-  std::deque<uint64_t> seen_order_;
+  // Delivery dedup over the last kSeenWindow delivered ids. Client
+  // re-sends can legitimately be ordered twice (lost reply,
+  // re-partitioning); exactly-once execution is restored here.
+  // Deterministic across a group because every member sees the same
+  // merged sequence.
+  IdWindow seen_;
   bool pump_pending_ = false;  // merger pump deferred to on_batch_end
 };
 

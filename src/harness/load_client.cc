@@ -9,7 +9,17 @@ LoadClient::LoadClient(sim::Simulation* sim, sim::Network* net, NodeId id,
                        Config config)
     : Process(sim, net, id, std::move(name)),
       directory_(directory),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      retry_queue_(
+          this, config_.retry_timeout,
+          [this](size_t thread, uint64_t cmd_id) {
+            const ThreadState& t = threads_[thread];
+            return t.outstanding && t.cmd.id == cmd_id;
+          },
+          [this](size_t thread) {
+            retries_->add(now());
+            send_current(threads_[thread].cmd);  // route re-evaluated
+          }) {
   const obs::Labels labels{{"node", this->name()}};
   latency_ = &metrics().timer("client.latency", labels);
   completions_ = &metrics().counter("client.completions", labels);
@@ -30,26 +40,22 @@ void LoadClient::start() {
 void LoadClient::stop() {
   running_ = false;
   inflight_.clear();
-  commands_.clear();
+  retry_queue_.clear();
 }
 
 void LoadClient::issue(size_t thread_index) {
   if (!running_) return;
   const uint64_t cmd_id = paxos::make_command_id(id(), seq_++);
-  paxos::Command cmd;
-  cmd.kind = paxos::CommandKind::kApp;
-  cmd.payload_size = config_.payload_bytes;
-  cmd.id = cmd_id;
-  cmd.client = id();
-
   ThreadState& t = threads_[thread_index];
-  t.current_cmd = cmd_id;
+  t.cmd.kind = paxos::CommandKind::kApp;
+  t.cmd.payload_size = config_.payload_bytes;
+  t.cmd.id = cmd_id;
+  t.cmd.client = id();
   t.sent_at = now();
   t.outstanding = true;
   inflight_[cmd_id] = thread_index;
-  commands_[cmd_id] = cmd;
-  send_current(cmd);
-  arm_timeout(thread_index, cmd_id);
+  send_current(t.cmd);
+  retry_queue_.track(thread_index, cmd_id);
 }
 
 void LoadClient::send_current(const paxos::Command& cmd) {
@@ -64,19 +70,6 @@ void LoadClient::send_current(const paxos::Command& cmd) {
        net::make_message<paxos::ClientProposeMsg>(stream, cmd));
 }
 
-void LoadClient::arm_timeout(size_t thread_index, uint64_t cmd_id) {
-  after(config_.retry_timeout, [this, thread_index, cmd_id] {
-    if (!running_) return;
-    ThreadState& t = threads_[thread_index];
-    if (!t.outstanding || t.current_cmd != cmd_id) return;
-    retries_->add(now());
-    auto it = commands_.find(cmd_id);
-    if (it == commands_.end()) return;
-    send_current(it->second);  // route re-evaluated
-    arm_timeout(thread_index, cmd_id);
-  });
-}
-
 void LoadClient::on_message(NodeId from, const MessagePtr& msg) {
   (void)from;
   if (msg->type() != net::MsgType::kKvReply) return;
@@ -85,7 +78,6 @@ void LoadClient::on_message(NodeId from, const MessagePtr& msg) {
   if (it == inflight_.end()) return;  // duplicate reply from another replica
   const size_t thread_index = it->second;
   inflight_.erase(it);
-  commands_.erase(reply.command_id);
 
   ThreadState& t = threads_[thread_index];
   t.outstanding = false;

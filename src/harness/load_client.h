@@ -13,6 +13,7 @@
 #include <unordered_map>
 
 #include "multicast/messages.h"
+#include "multicast/retry_queue.h"
 #include "paxos/messages.h"
 #include "paxos/stream_directory.h"
 #include "sim/process.h"
@@ -60,14 +61,13 @@ class LoadClient : public sim::Process {
 
  private:
   struct ThreadState {
-    uint64_t current_cmd = 0;
+    paxos::Command cmd;  ///< the outstanding command; retries re-send it
     Tick sent_at = 0;
     bool outstanding = false;
   };
 
   void issue(size_t thread_index);
   void send_current(const paxos::Command& cmd);
-  void arm_timeout(size_t thread_index, uint64_t cmd_id);
 
   const paxos::StreamDirectory* directory_;
   Config config_;
@@ -75,7 +75,7 @@ class LoadClient : public sim::Process {
   uint32_t seq_ = 1;
   std::vector<ThreadState> threads_;
   std::unordered_map<uint64_t, size_t> inflight_;  // cmd id -> thread
-  std::unordered_map<uint64_t, paxos::Command> commands_;  // for re-sends
+  multicast::RetryQueue retry_queue_;
 
   // Registry-owned handles, labelled {node=<name>}.
   obs::Timer* latency_;

@@ -13,7 +13,17 @@ KvClient::KvClient(sim::Simulation* sim, sim::Network* net, NodeId id, std::stri
       directory_(directory),
       config_(std::move(config)),
       registry_client_(this, config_.registry),
-      rng_(config_.seed) {
+      rng_(config_.seed),
+      retry_queue_(
+          this, config_.retry_timeout,
+          [this](size_t thread, uint64_t cmd_id) {
+            const Outstanding& t = threads_[thread];
+            return !t.done && t.cmd.id == cmd_id;
+          },
+          [this](size_t thread) {
+            retries_->add(now());
+            dispatch(thread);  // re-routed through the refreshed map
+          }) {
   const obs::Labels labels{{"node", this->name()}};
   latency_ = &metrics().timer("client.latency", labels);
   completions_ = &metrics().counter("client.completions", labels);
@@ -59,6 +69,7 @@ void KvClient::start() {
 void KvClient::stop() {
   running_ = false;
   inflight_.clear();
+  retry_queue_.clear();
 }
 
 std::string KvClient::make_payload() {
@@ -95,7 +106,6 @@ void KvClient::issue(size_t thread_index) {
   if (!running_) return;
   const uint64_t cmd_id = paxos::make_command_id(id(), seq_++);
   Outstanding& t = threads_[thread_index];
-  t.thread_index = thread_index;
   t.cmd.kind = paxos::CommandKind::kApp;
   t.cmd.id = cmd_id;
   t.cmd.client = id();
@@ -107,7 +117,7 @@ void KvClient::issue(size_t thread_index) {
   t.done = false;
   inflight_[cmd_id] = thread_index;
   dispatch(thread_index);
-  arm_timeout(thread_index, cmd_id);
+  retry_queue_.track(thread_index, cmd_id);
 }
 
 void KvClient::dispatch(size_t thread_index) {
@@ -126,18 +136,6 @@ void KvClient::dispatch(size_t thread_index) {
   }
   send(directory_->get(stream).coordinator,
        net::make_message<paxos::ClientProposeMsg>(stream, t.cmd));
-}
-
-void KvClient::arm_timeout(size_t thread_index, uint64_t cmd_id) {
-  after(config_.retry_timeout, [this, thread_index, cmd_id] {
-    if (!running_) return;
-    auto it = inflight_.find(cmd_id);
-    if (it == inflight_.end() || it->second != thread_index) return;
-    if (threads_[thread_index].done) return;
-    retries_->add(now());
-    dispatch(thread_index);  // re-routed through the refreshed map
-    arm_timeout(thread_index, cmd_id);
-  });
 }
 
 void KvClient::complete(size_t thread_index, std::string_view get_value) {

@@ -20,6 +20,7 @@
 #include "kvstore/kv_op.h"
 #include "kvstore/partition_map.h"
 #include "multicast/messages.h"
+#include "multicast/retry_queue.h"
 #include "paxos/messages.h"
 #include "paxos/stream_directory.h"
 #include "registry/client.h"
@@ -81,7 +82,6 @@ class KvClient : public sim::Process {
 
  private:
   struct Outstanding {
-    size_t thread_index = 0;
     paxos::Command cmd;
     KvOp op;  ///< views into cmd.payload
     Tick sent_at = 0;
@@ -93,7 +93,6 @@ class KvClient : public sim::Process {
   void issue(size_t thread_index);
   void dispatch(size_t thread_index);
   void complete(size_t thread_index, std::string_view get_value);
-  void arm_timeout(size_t thread_index, uint64_t cmd_id);
   std::string make_payload();
 
   const paxos::StreamDirectory* directory_;
@@ -107,6 +106,7 @@ class KvClient : public sim::Process {
 
   std::vector<Outstanding> threads_;
   std::unordered_map<uint64_t, size_t> inflight_;  // cmd id -> thread
+  multicast::RetryQueue retry_queue_;
   std::string value_;  // scratch for the put value being encoded
 
   // Registry-owned handles, labelled {node=<name>}.

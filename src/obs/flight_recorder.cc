@@ -50,11 +50,16 @@ std::string FlightRecorder::dump(const std::string& reason, Tick now) {
       const TraceEvent& ev = events[i];
       appendf(out,
               "%s\n{\"time\": %lld, \"kind\": \"%s\", \"node\": %u, "
-              "\"stream\": %u, \"a\": %llu, \"b\": %llu, \"detail\": \"",
+              "\"stream\": %u, \"a\": %llu, \"b\": %llu, ",
               i == first ? "" : ",", static_cast<long long>(ev.time),
               trace_kind_name(ev.kind), ev.node, ev.stream,
               static_cast<unsigned long long>(ev.a),
               static_cast<unsigned long long>(ev.b));
+      if (ev.kind == TraceKind::kSkipRun) {
+        appendf(out, "\"runs\": %u, \"last_time\": %lld, ", ev.runs,
+                static_cast<long long>(ev.last_time));
+      }
+      out += "\"detail\": \"";
       append_escaped(out, ev.detail);
       out += "\"}";
     }

@@ -233,11 +233,14 @@ std::string SpanCollector::chrome_trace_json(const Trace* ring) const {
       nodes[ev.node] = 1;
       appendf(body,
               ",\n{\"name\":\"%s\",\"cat\":\"ring\",\"ph\":\"i\",\"ts\":%.3f,"
-              "\"pid\":%u,\"tid\":%u,\"s\":\"t\",\"args\":{\"a\":%llu,\"b\":%llu,"
-              "\"detail\":\"",
+              "\"pid\":%u,\"tid\":%u,\"s\":\"t\",\"args\":{\"a\":%llu,\"b\":%llu,",
               trace_kind_name(ev.kind), to_us(ev.time), ev.node, ev.stream,
               static_cast<unsigned long long>(ev.a),
               static_cast<unsigned long long>(ev.b));
+      if (ev.kind == TraceKind::kSkipRun) {
+        appendf(body, "\"runs\":%u,\"last_ts\":%.3f,", ev.runs, to_us(ev.last_time));
+      }
+      body += "\"detail\":\"";
       append_json_escaped(body, ev.detail);
       body += "\"}}";
       ++count;

@@ -23,11 +23,16 @@ const char* trace_kind_name(TraceKind kind) {
 }
 
 std::string TraceEvent::to_string() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "[%9.6f] %-18s node=%u stream=%u a=%llu b=%llu %s",
-                to_seconds(time), trace_kind_name(kind), node, stream,
-                static_cast<unsigned long long>(a), static_cast<unsigned long long>(b),
-                detail);
+  char buf[256];
+  int n = std::snprintf(buf, sizeof(buf), "[%9.6f] %-18s node=%u stream=%u a=%llu b=%llu",
+                        to_seconds(time), trace_kind_name(kind), node, stream,
+                        static_cast<unsigned long long>(a),
+                        static_cast<unsigned long long>(b));
+  if (kind == TraceKind::kSkipRun) {
+    n += std::snprintf(buf + n, sizeof(buf) - static_cast<size_t>(n), " runs=%u last=%.6f",
+                       runs, to_seconds(last_time));
+  }
+  std::snprintf(buf + n, sizeof(buf) - static_cast<size_t>(n), " %s", detail);
   return buf;
 }
 

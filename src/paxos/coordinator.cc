@@ -18,7 +18,9 @@ constexpr int kAttemptsBeforeNewBallot = 3;
 
 Coordinator::Coordinator(sim::Simulation* sim, sim::Network* net, NodeId id,
                          std::string name, Config config)
-    : Process(sim, net, id, std::move(name)), config_(std::move(config)) {
+    : Process(sim, net, id, std::move(name)),
+      config_(std::move(config)),
+      recent_ids_(kDedupWindow) {
   // Leadership begins at start(): a coordinator whose VM is still being
   // provisioned (add_stream_after) must not order anything yet.
   ballot_ = Ballot{config_.initial_round, this->id()};
@@ -137,12 +139,8 @@ void Coordinator::expire_dedup() {
   // its size is bounded by admitted-rate x ttl regardless of traffic
   // shape, with kDedupWindow as a hard backstop.
   const Tick ttl = config_.params.dedup_ttl;
-  while (!recent_order_.empty() && now() - recent_order_.front().second > ttl) {
-    auto it = recent_ids_.find(recent_order_.front().first);
-    if (it != recent_ids_.end() && it->second == recent_order_.front().second) {
-      recent_ids_.erase(it);
-    }
-    recent_order_.pop_front();
+  while (!recent_ids_.empty() && now() - recent_ids_.oldest_stamp() > ttl) {
+    recent_ids_.pop_oldest();
   }
 }
 
@@ -152,16 +150,7 @@ bool Coordinator::dedup_seen(uint64_t command_id) {
   // before a merge point and discarded) can be re-ordered. The TTL must
   // stay below the client retry timeout.
   expire_dedup();
-  auto [it, inserted] = recent_ids_.try_emplace(command_id, now());
-  if (!inserted) return true;
-  recent_order_.emplace_back(command_id, now());
-  if (recent_order_.size() > kDedupWindow) {
-    auto front = recent_order_.front();
-    auto hit = recent_ids_.find(front.first);
-    if (hit != recent_ids_.end() && hit->second == front.second) recent_ids_.erase(hit);
-    recent_order_.pop_front();
-  }
-  return false;
+  return !recent_ids_.insert(command_id, now());
 }
 
 void Coordinator::handle_client_propose(NodeId from, const ClientProposeMsg& msg) {

@@ -14,12 +14,12 @@
 
 #include <deque>
 #include <map>
-#include <unordered_map>
 
 #include "paxos/messages.h"
 #include "paxos/params.h"
 #include "paxos/slot_log.h"
 #include "sim/process.h"
+#include "util/id_window.h"
 
 namespace epx::paxos {
 
@@ -129,9 +129,9 @@ class Coordinator : public sim::Process {
   InstanceId decided_contiguous_ = 0;
   SlotBitmap decided_sparse_;
 
-  // Duplicate suppression for client re-sends (id -> first-seen time).
-  std::unordered_map<uint64_t, Tick> recent_ids_;
-  std::deque<std::pair<uint64_t, Tick>> recent_order_;
+  // Duplicate suppression for client re-sends; each id is stamped with
+  // its first-seen time for the dedup_ttl expiry.
+  IdWindow recent_ids_;
 
   // Failover.
   Tick last_leader_sign_of_life_ = 0;

@@ -105,6 +105,45 @@ TEST_F(ElasticIntegrationTest, TracedRunKeepsMergePointInRing) {
   EXPECT_TRUE(testing::monitors_clean(cluster));
 }
 
+// Fig. 4's shape: after the subscribe one stream stays idle, and its
+// coordinator pads it with a skip run every skip_interval (100 per
+// virtual second at 10 ms) while the loaded stream pads its own
+// shortfall. More skip runs than the ring holds follow the merge point;
+// folded per stream, they must not flush it.
+TEST_F(ElasticIntegrationTest, TracedIdleStreamKeepsMergePointInRing) {
+  Cluster cluster;
+  harness::TraceFlags flags;
+  flags.out = "traced_idle_stream.json";  // arms tracing; nothing is written
+  flags.enable(cluster.sim());
+  const auto s1 = cluster.add_stream();
+  const auto s2 = cluster.add_stream();
+  auto* r1 = cluster.add_replica(1, {s1});
+
+  LoadClient::Config cfg;
+  cfg.threads = 2;
+  cfg.payload_bytes = 64;
+  cfg.route = [s1] { return s1; };
+  auto* client = cluster.spawn<LoadClient>("client", &cluster.directory(), cfg);
+  client->start();
+  cluster.run_for(kSecond);
+
+  cluster.controller().subscribe(1, s2, s1);
+  ASSERT_TRUE(
+      run_until(cluster, [&] { return r1->merger().subscribed_to(s2); }, 10 * kSecond));
+  const Tick idle = 45 * kSecond;
+  cluster.run_for(idle);
+  const obs::Trace& trace = cluster.sim().trace();
+  ASSERT_GT(static_cast<size_t>(idle / cluster.options().params.skip_interval),
+            trace.capacity())
+      << "the idle stream alone pads more skip runs than the ring holds";
+
+  EXPECT_EQ(trace.events(obs::TraceKind::kMergePoint).size(), 1u);
+  EXPECT_EQ(trace.events(obs::TraceKind::kSubscribeBegin).size(), 1u);
+  EXPECT_EQ(trace.dropped(), 0u);
+  EXPECT_GT(client->completed(), 0u);
+  EXPECT_TRUE(testing::monitors_clean(cluster));
+}
+
 TEST_F(ElasticIntegrationTest, SubscribeRecoversBacklog) {
   // S2 accumulates traffic long before the group subscribes; the new
   // learner must recover the backlog from the acceptors and the merger

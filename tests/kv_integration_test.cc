@@ -32,6 +32,53 @@ class KvIntegrationTest : public ::testing::Test {
   }
 };
 
+class KvClientTest : public KvIntegrationTest {};
+
+TEST_F(KvClientTest, RetryFiresAtEachTimeoutWhileUnanswered) {
+  // A partition with no replicas orders commands but never answers:
+  // each thread re-sends at exactly sent_at + k x retry_timeout. Threads
+  // launch 10 ms after start(), once the partition map has arrived.
+  KvCluster kvc;
+  kvc.add_partition(0);
+  kvc.publish();
+  KvClient::Config cfg;
+  cfg.threads = 2;
+  cfg.key_space = 100;
+  cfg.value_bytes = 64;
+  cfg.retry_timeout = 300 * kMillisecond;
+  auto* client = kvc.add_client(cfg);
+  client->start();
+  kvc.cluster().run_for(309 * kMillisecond);
+  EXPECT_EQ(client->retries(), 0u);
+  kvc.cluster().run_for(2 * kMillisecond);
+  EXPECT_EQ(client->retries(), 2u) << "one retry per thread at 310 ms";
+  kvc.cluster().run_for(699 * kMillisecond);
+  EXPECT_EQ(client->retries(), 6u) << "and again at 610 and 910 ms";
+  EXPECT_EQ(client->completed(), 0u);
+}
+
+TEST_F(KvClientTest, AnsweredOpsQueueNoTimerTasks) {
+  // Every operation is answered long before its retry is due, so no
+  // per-operation timer task lands in the client's inbox.
+  KvCluster kvc;
+  kvc.add_partition(2);
+  kvc.publish();
+  KvClient::Config cfg;
+  cfg.threads = 64;
+  cfg.key_space = 1000;
+  cfg.value_bytes = 64;
+  cfg.get_ratio = 0.5;
+  auto* client = kvc.add_client(cfg);
+  client->start();
+  kvc.cluster().run_for(3 * kSecond);
+  EXPECT_GT(client->completed(), 1000u);
+  EXPECT_EQ(client->retries(), 0u);
+  const obs::Gauge* depth =
+      kvc.cluster().sim().metrics().find_gauge("inbox.depth{node=" + client->name() + "}");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_LE(depth->max(), 2.0);
+}
+
 TEST_F(KvIntegrationTest, PutAndGetSinglePartition) {
   KvCluster kvc;
   kvc.add_partition(2);

@@ -79,6 +79,48 @@ TEST_F(LoadClientTest, RetriesRerouteThroughFreshDecision) {
   EXPECT_GT(client->completed(), 100u);
 }
 
+TEST_F(LoadClientTest, RetryFiresAtEachTimeoutWhileUnanswered) {
+  // Nothing ever answers: each thread re-sends at exactly sent_at + k x
+  // retry_timeout.
+  Cluster cluster;
+  const auto dead = cluster.add_stream_after(3600 * kSecond);  // never up
+  LoadClient::Config cfg;
+  cfg.threads = 2;
+  cfg.payload_bytes = 64;
+  cfg.retry_timeout = 300 * kMillisecond;
+  cfg.route = [dead] { return dead; };
+  auto* client = cluster.spawn<LoadClient>("client", &cluster.directory(), cfg);
+  client->start();
+  cluster.run_for(299 * kMillisecond);
+  EXPECT_EQ(client->retries(), 0u);
+  cluster.run_for(2 * kMillisecond);
+  EXPECT_EQ(client->retries(), 2u) << "one retry per thread at 300 ms";
+  cluster.run_for(699 * kMillisecond);
+  EXPECT_EQ(client->retries(), 6u) << "and again at 600 and 900 ms";
+  EXPECT_EQ(client->completed(), 0u);
+}
+
+TEST_F(LoadClientTest, AnsweredOpsQueueNoTimerTasks) {
+  // Every command is answered long before its retry is due, so no
+  // per-command timer task lands in the client's inbox: with one timer
+  // per command, all 64 first commands' timers would fire at 1 s.
+  Cluster cluster;
+  const auto s1 = cluster.add_stream();
+  cluster.add_replica(1, {s1});
+  LoadClient::Config cfg;
+  cfg.threads = 64;
+  cfg.payload_bytes = 64;
+  cfg.route = [s1] { return s1; };
+  auto* client = cluster.spawn<LoadClient>("client", &cluster.directory(), cfg);
+  client->start();
+  cluster.run_for(3 * kSecond);
+  EXPECT_GT(client->completed(), 1000u);
+  EXPECT_EQ(client->retries(), 0u);
+  const obs::Gauge* depth = cluster.sim().metrics().find_gauge("inbox.depth{node=client}");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_LE(depth->max(), 2.0);
+}
+
 TEST_F(LoadClientTest, StopHaltsIssuance) {
   Cluster cluster;
   const auto s1 = cluster.add_stream();

@@ -303,6 +303,54 @@ TEST(TraceTest, ClearResetsRing) {
   EXPECT_EQ(trace.events()[0].time, 42);
 }
 
+TEST(TraceTest, ConsecutiveSkipRunsFoldIntoOneEntry) {
+  obs::Trace trace(16);
+  trace.record(10, obs::TraceKind::kSkipRun, /*node=*/3, /*stream=*/1, /*a=*/0, /*b=*/5);
+  trace.record(20, obs::TraceKind::kSkipRun, 3, 1, 5, 5);
+  trace.record(25, obs::TraceKind::kSkipRun, 4, 2, 0, 7);  // another stream
+  trace.record(30, obs::TraceKind::kSkipRun, 3, 1, 10, 5);  // still folds
+  trace.record(35, obs::TraceKind::kSkipRun, 4, 2, 7, 7);
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace.recorded(), 2u);
+  auto events = trace.events();
+  EXPECT_EQ(events[0].time, 10);
+  EXPECT_EQ(events[0].a, 0u) << "the first run's position";
+  EXPECT_EQ(events[0].b, 15u) << "slots accumulate";
+  EXPECT_EQ(events[0].runs, 3u);
+  EXPECT_EQ(events[0].last_time, 30);
+  EXPECT_EQ(events[1].stream, 2u);
+  EXPECT_EQ(events[1].runs, 2u);
+  EXPECT_EQ(events[1].b, 14u);
+  const std::string line = events[0].to_string();
+  EXPECT_NE(line.find("runs=3"), std::string::npos) << line;
+  EXPECT_NE(line.find("last=0.000000"), std::string::npos) << line;
+
+  // Another kind in between closes every open run: order is kept.
+  trace.record(40, obs::TraceKind::kMergePoint, 5, 1, 99);
+  trace.record(50, obs::TraceKind::kSkipRun, 3, 1, 15, 5);
+  ASSERT_EQ(trace.size(), 4u);
+  events = trace.events();
+  EXPECT_EQ(events[2].kind, obs::TraceKind::kMergePoint);
+  EXPECT_EQ(events[3].time, 50);
+  EXPECT_EQ(events[3].runs, 1u);
+  EXPECT_EQ(events[0].runs, 3u) << "the closed entry is unchanged";
+}
+
+TEST(TraceTest, SkipRunDoesNotFoldIntoAnOverwrittenEntry) {
+  obs::Trace trace(2);
+  trace.record(1, obs::TraceKind::kSkipRun, 1, 1, 0, 1);
+  trace.record(2, obs::TraceKind::kSkipRun, 1, 2, 0, 1);
+  trace.record(3, obs::TraceKind::kSkipRun, 1, 3, 0, 1);  // overwrites stream 1's entry
+  trace.record(4, obs::TraceKind::kSkipRun, 1, 1, 1, 1);
+  const auto events = trace.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].stream, 3u);
+  EXPECT_EQ(events[1].stream, 1u);
+  EXPECT_EQ(events[1].time, 4);
+  EXPECT_EQ(events[1].runs, 1u);
+  EXPECT_EQ(trace.dropped(), 2u);
+}
+
 TEST(TraceTest, ToStringNamesTheKind) {
   obs::Trace trace(4);
   trace.record(kSecond, obs::TraceKind::kMergePoint, 3, 2, 99, 0, "aligned");

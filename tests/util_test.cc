@@ -1,13 +1,18 @@
 // Unit tests for the utility layer: RNG, histogram, time series, status,
-// hashing and unit formatting.
+// hashing, the id window and unit formatting.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <deque>
+#include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "util/hash.h"
 #include "util/histogram.h"
+#include "util/id_window.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/timeseries.h"
@@ -406,6 +411,200 @@ TEST(HashTest, SimilarKeysSpreadAcrossSpace) {
     if (key_hash("key" + std::to_string(i)) > (~0ULL / 2)) ++upper;
   }
   EXPECT_NEAR(upper, n / 2, n / 10);
+}
+
+// ----------------------------------------------------------- IdWindow --
+
+/// The structures IdWindow replaced in the replica and the coordinator:
+/// a std::set for membership and a std::deque for insertion order.
+class ReferenceWindow {
+ public:
+  explicit ReferenceWindow(size_t capacity) : capacity_(capacity) {}
+
+  bool insert(uint64_t id, int64_t stamp) {
+    if (!ids_.insert(id).second) return false;
+    order_.emplace_back(id, stamp);
+    if (order_.size() > capacity_) pop_oldest();
+    return true;
+  }
+  bool contains(uint64_t id) const { return ids_.count(id) != 0; }
+  void pop_oldest() {
+    ids_.erase(order_.front().first);
+    order_.pop_front();
+  }
+  size_t size() const { return order_.size(); }
+  bool empty() const { return order_.empty(); }
+  uint64_t oldest() const { return order_.front().first; }
+  int64_t oldest_stamp() const { return order_.front().second; }
+  const std::deque<std::pair<uint64_t, int64_t>>& order() const { return order_; }
+
+ private:
+  size_t capacity_;
+  std::set<uint64_t> ids_;
+  std::deque<std::pair<uint64_t, int64_t>> order_;
+};
+
+/// Replica-shaped ids: `node << 32 | seq` from six client nodes, three
+/// with dense sequence numbers and three with sparse ones (one of them
+/// node 0xffffffff, so keys reach the top of the id space).
+class ClientIds {
+ public:
+  explicit ClientIds(uint64_t seed) : rng_(seed) {}
+
+  uint64_t next() {
+    const size_t k = rng_.uniform(kNodes.size());
+    seq_[k] += k < 3 ? 1 : 1 + rng_.uniform(500);
+    return (kNodes[k] << 32) | (seq_[k] & 0xffffffffULL);
+  }
+  Rng& rng() { return rng_; }
+
+ private:
+  static constexpr std::array<uint64_t, 6> kNodes = {1, 2, 7, 3, 40, 0xffffffffULL};
+  Rng rng_;
+  std::array<uint64_t, 6> seq_ = {};
+};
+
+/// Checks every member of `ref` is in `w`, then drains both in lockstep.
+void expect_same_contents(IdWindow& w, ReferenceWindow& ref) {
+  ASSERT_EQ(w.size(), ref.size());
+  for (const auto& [id, stamp] : ref.order()) ASSERT_TRUE(w.contains(id)) << id;
+  while (!ref.empty()) {
+    ASSERT_FALSE(w.empty());
+    ASSERT_EQ(w.oldest(), ref.oldest());
+    ASSERT_EQ(w.oldest_stamp(), ref.oldest_stamp());
+    const uint64_t id = ref.oldest();
+    w.pop_oldest();
+    ref.pop_oldest();
+    ASSERT_FALSE(w.contains(id));
+  }
+  EXPECT_TRUE(w.empty());
+}
+
+TEST(IdWindowTest, MatchesSetDequeReference) {
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    for (size_t cap : {size_t{1}, size_t{64}, size_t{1} << 16, size_t{1} << 17}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " capacity " << cap);
+      IdWindow w(cap);
+      ReferenceWindow ref(cap);
+      ClientIds ids(seed);
+      Rng& rng = ids.rng();
+      std::vector<uint64_t> accepted;  // every id inserted, in order
+      const size_t ops = 2 * cap + 3000;
+      for (size_t op = 0; op < ops; ++op) {
+        uint64_t id;
+        const uint64_t dice = rng.uniform(100);
+        if (dice == 0 && accepted.size() >= cap) {
+          id = accepted[accepted.size() - cap];  // distance W: still held
+        } else if (dice == 1 && accepted.size() > cap) {
+          id = accepted[accepted.size() - cap - 1];  // distance W+1: evicted
+        } else if (dice == 2 && !accepted.empty()) {
+          // ~1% re-sends at a random distance up to twice the window.
+          const size_t reach = std::min(accepted.size(), 2 * cap);
+          id = accepted[accepted.size() - 1 - rng.uniform(reach)];
+        } else if (dice == 3) {
+          const uint64_t edge[] = {0, kMax, kMax - 63, 63, 64};
+          id = edge[rng.uniform(5)];
+        } else {
+          id = ids.next();
+        }
+        const auto stamp = static_cast<int64_t>(op);
+        const bool added = ref.insert(id, stamp);
+        ASSERT_EQ(w.insert(id, stamp), added) << "op " << op << " id " << id;
+        if (added) accepted.push_back(id);
+        ASSERT_EQ(w.size(), ref.size());
+        ASSERT_EQ(w.oldest(), ref.oldest());
+        if (op % 61 == 0) {
+          const uint64_t probes[] = {accepted[rng.uniform(accepted.size())], ids.next(),
+                                     rng.next(), 0, kMax};
+          for (uint64_t p : probes) ASSERT_EQ(w.contains(p), ref.contains(p)) << p;
+        }
+      }
+      expect_same_contents(w, ref);
+    }
+  }
+}
+
+TEST(IdWindowTest, ReinsertAtWindowDistance) {
+  // W ids later an id is the oldest member; one more and it is gone.
+  for (size_t cap : {size_t{1}, size_t{64}, size_t{100}}) {
+    IdWindow w(cap);
+    const uint64_t base = (uint64_t{5} << 32) | 1000;
+    for (uint64_t i = 0; i < cap; ++i) ASSERT_TRUE(w.insert(base + i));
+    EXPECT_FALSE(w.insert(base)) << "distance W: still a member";
+    EXPECT_EQ(w.oldest(), base) << "a rejected re-insert does not refresh";
+    ASSERT_TRUE(w.insert(base + cap));
+    EXPECT_FALSE(w.contains(base));
+    EXPECT_TRUE(w.insert(base)) << "distance W+1: evicted, admitted again";
+    EXPECT_EQ(w.size(), cap);
+  }
+}
+
+TEST(IdWindowTest, ExtremeIds) {
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  IdWindow w(3);
+  EXPECT_FALSE(w.contains(0));
+  EXPECT_FALSE(w.contains(kMax));
+  EXPECT_TRUE(w.insert(0));
+  EXPECT_TRUE(w.insert(kMax));
+  EXPECT_TRUE(w.insert(kMax - 1));  // shares kMax's bitmap word
+  EXPECT_FALSE(w.insert(0));
+  EXPECT_FALSE(w.insert(kMax));
+  EXPECT_TRUE(w.contains(0));
+  EXPECT_FALSE(w.contains(1));
+  EXPECT_FALSE(w.contains(kMax - 2));
+  EXPECT_TRUE(w.insert(1));  // evicts 0
+  EXPECT_FALSE(w.contains(0));
+  EXPECT_TRUE(w.insert(2));  // evicts kMax
+  EXPECT_FALSE(w.contains(kMax));
+  EXPECT_TRUE(w.contains(kMax - 1));
+  EXPECT_EQ(w.oldest(), kMax - 1);
+}
+
+TEST(IdWindowTest, TtlExpiryMatchesReference) {
+  // The coordinator's shape: a 2^16 window whose owner first pops every
+  // entry older than the TTL, then inserts stamped with the current
+  // time. Bursts push the live count past 2^16 so the capacity
+  // backstop evicts too; idle gaps expire everything.
+  constexpr size_t kCap = size_t{1} << 16;
+  constexpr int64_t kTtl = 100000;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    IdWindow w(kCap);
+    ReferenceWindow ref(kCap);
+    ClientIds ids(seed + 100);
+    Rng& rng = ids.rng();
+    std::vector<uint64_t> recent;
+    int64_t now = 0;
+    size_t expired = 0;
+    for (size_t op = 0; op < 250000; ++op) {
+      const uint64_t dice = rng.uniform(1000);
+      if (dice == 0) {
+        now += 2 * kTtl;  // idle gap
+      } else if (dice < 500) {
+        now += static_cast<int64_t>(rng.uniform(4));
+      }
+      while (!ref.empty() && now - ref.oldest_stamp() > kTtl) {
+        ASSERT_FALSE(w.empty());
+        ASSERT_EQ(w.oldest(), ref.oldest());
+        ASSERT_GT(now - w.oldest_stamp(), kTtl);
+        w.pop_oldest();
+        ref.pop_oldest();
+        ++expired;
+      }
+      ASSERT_TRUE(w.empty() || now - w.oldest_stamp() <= kTtl);
+      uint64_t id = ids.next();
+      if (!recent.empty() && rng.uniform(100) == 0) {
+        id = recent[recent.size() - 1 - rng.uniform(std::min<size_t>(recent.size(), 4096))];
+      }
+      const bool added = ref.insert(id, now);
+      ASSERT_EQ(w.insert(id, now), added) << "op " << op;
+      if (added) recent.push_back(id);
+      ASSERT_EQ(w.size(), ref.size());
+    }
+    EXPECT_GT(expired, 0u);
+    expect_same_contents(w, ref);
+  }
 }
 
 // -------------------------------------------------------------- Units --
