@@ -12,15 +12,19 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <optional>
 #include <queue>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "elastic/elastic_merger.h"
 #include "harness/cluster.h"
 #include "harness/load_client.h"
+#include "kvstore/kv_client.h"
+#include "kvstore/kv_store.h"
 #include "kvstore/partition_map.h"
 #include "multicast/stream_queue.h"
 #include "net/message.h"
@@ -319,6 +323,126 @@ void BM_KeyHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KeyHash);
+
+/// The replica's KV apply path in kv-split's shape: a store of 100 000
+/// keys named `key%010zu`, 1 KB values that live in payloads the store
+/// only references, and a uniform random key stream. The key hashes are
+/// computed outside the timed loop, as the replica computes each one for
+/// its ownership check before it applies the op. BM_KvStorePut overwrites
+/// existing keys (the steady state) and BM_KvStoreGet reads them. The
+/// StdUnorderedMapBaseline twins run the same ops through the index the
+/// store had before: an unordered_map from key view to ordered-map node,
+/// which hashes the key again with std::hash.
+constexpr size_t kKvKeys = 100000;
+
+struct KvBenchInput {
+  std::vector<std::string> keys;
+  std::vector<uint64_t> hashes;
+  std::vector<uint32_t> stream;  ///< key indexes of the timed ops
+  std::vector<kv::KvStore::Payload> payloads;
+};
+
+const KvBenchInput& kv_bench_input() {
+  static const KvBenchInput input = [] {
+    KvBenchInput in;
+    for (size_t k = 0; k < kKvKeys; ++k) {
+      in.keys.push_back(kv::KvClient::key_name(k));
+      in.hashes.push_back(key_hash(in.keys.back()));
+    }
+    Rng rng(23);
+    in.stream.resize(size_t{1} << 20);
+    for (uint32_t& k : in.stream) k = static_cast<uint32_t>(rng.uniform(kKvKeys));
+    for (int i = 0; i < 64; ++i) {
+      in.payloads.push_back(std::make_shared<const std::string>(std::string(1040, 'v')));
+    }
+    return in;
+  }();
+  return input;
+}
+
+/// The store's index before the flat table, for the baseline twins.
+struct StdUnorderedMapKvStore {
+  using Ordered = std::map<std::string, kv::KvStore::Value, std::less<>>;
+  Ordered ordered;
+  std::unordered_map<std::string_view, Ordered::iterator> index;
+
+  void put(std::string_view key, uint64_t /*hash*/, std::string_view value,
+           kv::KvStore::Payload owner) {
+    const auto hit = index.find(key);
+    if (hit != index.end()) {
+      hit->second->second = kv::KvStore::Value{std::move(owner), value};
+      return;
+    }
+    kv::KvStore::Value entry{std::move(owner), value};
+    const auto it = ordered.emplace(std::string(key), std::move(entry)).first;
+    index.emplace(it->first, it);
+  }
+  std::optional<std::string_view> get(std::string_view key, uint64_t /*hash*/) const {
+    const auto hit = index.find(key);
+    if (hit == index.end()) return std::nullopt;
+    return hit->second->second.bytes;
+  }
+};
+
+template <typename Store>
+void fill_kv_store(Store& store, const KvBenchInput& in) {
+  for (size_t k = 0; k < kKvKeys; ++k) {
+    const kv::KvStore::Payload& p = in.payloads[k % in.payloads.size()];
+    store.put(in.keys[k], in.hashes[k], std::string_view(*p).substr(16, 1024), p);
+  }
+}
+
+template <typename Store>
+void run_kv_put(benchmark::State& state, Store& store) {
+  const KvBenchInput& in = kv_bench_input();
+  fill_kv_store(store, in);
+  size_t next = 0;
+  for (auto _ : state) {
+    const uint32_t k = in.stream[next];
+    const kv::KvStore::Payload& p = in.payloads[next % in.payloads.size()];
+    store.put(in.keys[k], in.hashes[k], std::string_view(*p).substr(16, 1024), p);
+    benchmark::ClobberMemory();
+    if (++next == in.stream.size()) next = 0;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
+template <typename Store>
+void run_kv_get(benchmark::State& state, Store& store) {
+  const KvBenchInput& in = kv_bench_input();
+  fill_kv_store(store, in);
+  size_t next = 0;
+  for (auto _ : state) {
+    const uint32_t k = in.stream[next];
+    benchmark::DoNotOptimize(store.get(in.keys[k], in.hashes[k]));
+    if (++next == in.stream.size()) next = 0;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
+void BM_KvStorePut(benchmark::State& state) {
+  kv::KvStore store;
+  run_kv_put(state, store);
+}
+BENCHMARK(BM_KvStorePut);
+
+void BM_KvStorePutStdUnorderedMapBaseline(benchmark::State& state) {
+  StdUnorderedMapKvStore store;
+  run_kv_put(state, store);
+}
+BENCHMARK(BM_KvStorePutStdUnorderedMapBaseline);
+
+void BM_KvStoreGet(benchmark::State& state) {
+  kv::KvStore store;
+  run_kv_get(state, store);
+}
+BENCHMARK(BM_KvStoreGet);
+
+void BM_KvStoreGetStdUnorderedMapBaseline(benchmark::State& state) {
+  StdUnorderedMapKvStore store;
+  run_kv_get(state, store);
+}
+BENCHMARK(BM_KvStoreGetStdUnorderedMapBaseline);
 
 void BM_PartitionLookup(benchmark::State& state) {
   std::vector<kv::PartitionEntry> entries;

@@ -1,5 +1,7 @@
 #include "harness/load_client.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace epx::harness {
@@ -12,10 +14,7 @@ LoadClient::LoadClient(sim::Simulation* sim, sim::Network* net, NodeId id,
       config_(std::move(config)),
       retry_queue_(
           this, config_.retry_timeout,
-          [this](size_t thread, uint64_t cmd_id) {
-            const ThreadState& t = threads_[thread];
-            return t.outstanding && t.cmd.id == cmd_id;
-          },
+          [this](size_t thread, uint64_t cmd_id) { return awaiting_[thread] == cmd_id; },
           [this](size_t thread) {
             retries_->add(now());
             send_current(threads_[thread].cmd);  // route re-evaluated
@@ -34,12 +33,13 @@ LoadClient::LoadClient(sim::Simulation* sim, sim::Network* net, NodeId id,
 void LoadClient::start() {
   running_ = true;
   threads_.assign(config_.threads, ThreadState{});
+  awaiting_.assign(config_.threads, 0);
   for (size_t i = 0; i < threads_.size(); ++i) issue(i);
 }
 
 void LoadClient::stop() {
   running_ = false;
-  inflight_.clear();
+  std::fill(awaiting_.begin(), awaiting_.end(), 0);
   retry_queue_.clear();
 }
 
@@ -52,35 +52,34 @@ void LoadClient::issue(size_t thread_index) {
   t.cmd.id = cmd_id;
   t.cmd.client = id();
   t.sent_at = now();
-  t.outstanding = true;
-  inflight_[cmd_id] = thread_index;
+  awaiting_[thread_index] = cmd_id;
   send_current(t.cmd);
   retry_queue_.track(thread_index, cmd_id);
 }
 
 void LoadClient::send_current(const paxos::Command& cmd) {
   const StreamId stream = config_.route();
-  if (!directory_->has(stream)) return;
+  const paxos::StreamInfo* info = directory_->find(stream);
+  if (info == nullptr) return;
   if (spans().enabled()) {
     // First send wins inside the collector, so retries cannot restart
     // the span's clock.
     spans().record(cmd.id, obs::SpanStage::kClientSend, now(), id(), stream);
   }
-  send(directory_->get(stream).coordinator,
-       net::make_message<paxos::ClientProposeMsg>(stream, cmd));
+  send(info->coordinator, net::make_message<paxos::ClientProposeMsg>(stream, cmd));
 }
 
 void LoadClient::on_message(NodeId from, const MessagePtr& msg) {
   (void)from;
   if (msg->type() != net::MsgType::kKvReply) return;
   const auto& reply = static_cast<const multicast::ReplyMsg&>(*msg);
-  auto it = inflight_.find(reply.command_id);
-  if (it == inflight_.end()) return;  // duplicate reply from another replica
-  const size_t thread_index = it->second;
-  inflight_.erase(it);
+  const auto it = std::find(awaiting_.begin(), awaiting_.end(), reply.command_id);
+  // A duplicate reply from another replica, or a late one.
+  if (reply.command_id == 0 || it == awaiting_.end()) return;
+  *it = 0;
+  const size_t thread_index = static_cast<size_t>(it - awaiting_.begin());
 
-  ThreadState& t = threads_[thread_index];
-  t.outstanding = false;
+  const ThreadState& t = threads_[thread_index];
   const Tick latency = now() - t.sent_at;
   latency_->record(now(), latency);
   completions_->add(now());

@@ -10,7 +10,7 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "multicast/messages.h"
 #include "multicast/retry_queue.h"
@@ -63,7 +63,6 @@ class LoadClient : public sim::Process {
   struct ThreadState {
     paxos::Command cmd;  ///< the outstanding command; retries re-send it
     Tick sent_at = 0;
-    bool outstanding = false;
   };
 
   void issue(size_t thread_index);
@@ -74,7 +73,9 @@ class LoadClient : public sim::Process {
   bool running_ = false;
   uint32_t seq_ = 1;
   std::vector<ThreadState> threads_;
-  std::unordered_map<uint64_t, size_t> inflight_;  // cmd id -> thread
+  /// Per thread, the id of its unanswered command (0: none). Replies
+  /// find their thread by a scan; a late or duplicate one finds none.
+  std::vector<uint64_t> awaiting_;
   multicast::RetryQueue retry_queue_;
 
   // Registry-owned handles, labelled {node=<name>}.

@@ -1,7 +1,10 @@
 #include "kvstore/kv_client.h"
 
+#include <algorithm>
 #include <charconv>
-#include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -16,10 +19,7 @@ KvClient::KvClient(sim::Simulation* sim, sim::Network* net, NodeId id, std::stri
       rng_(config_.seed),
       retry_queue_(
           this, config_.retry_timeout,
-          [this](size_t thread, uint64_t cmd_id) {
-            const Outstanding& t = threads_[thread];
-            return !t.done && t.cmd.id == cmd_id;
-          },
+          [this](size_t thread, uint64_t cmd_id) { return awaiting_[thread] == cmd_id; },
           [this](size_t thread) {
             retries_->add(now());
             dispatch(thread);  // re-routed through the refreshed map
@@ -36,9 +36,14 @@ KvClient::KvClient(sim::Simulation* sim, sim::Network* net, NodeId id, std::stri
 }
 
 std::string KvClient::key_name(size_t index) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "key%010zu", index);
-  return buf;
+  // "key%010zu" without parsing a format string.
+  char digits[std::numeric_limits<size_t>::digits10 + 1];
+  const char* end = std::to_chars(std::begin(digits), std::end(digits), index).ptr;
+  const size_t n = static_cast<size_t>(end - digits);
+  std::string key(3 + std::max<size_t>(n, 10), '0');
+  std::memcpy(key.data(), "key", 3);
+  std::memcpy(key.data() + key.size() - n, digits, n);
+  return key;
 }
 
 void KvClient::start() {
@@ -54,6 +59,7 @@ void KvClient::start() {
     }
   });
   threads_.assign(config_.threads, Outstanding{});
+  awaiting_.assign(config_.threads, 0);
   // Threads launch once the first partition map arrives.
   after(10 * kMillisecond, [this] {
     if (!map_.empty()) {
@@ -68,7 +74,7 @@ void KvClient::start() {
 
 void KvClient::stop() {
   running_ = false;
-  inflight_.clear();
+  std::fill(awaiting_.begin(), awaiting_.end(), 0);
   retry_queue_.clear();
 }
 
@@ -114,8 +120,7 @@ void KvClient::issue(size_t thread_index) {
   t.sent_at = now();
   t.shards_received.clear();
   t.shards_expected = t.op.is_multi_partition() ? std::max<size_t>(map_.partition_count(), 1) : 1;
-  t.done = false;
-  inflight_[cmd_id] = thread_index;
+  awaiting_[thread_index] = cmd_id;
   dispatch(thread_index);
   retry_queue_.track(thread_index, cmd_id);
 }
@@ -130,17 +135,17 @@ void KvClient::dispatch(size_t thread_index) {
     const PartitionEntry* entry = map_.lookup(t.op.key);
     if (entry != nullptr) stream = entry->stream;
   }
-  if (stream == paxos::kInvalidStream || !directory_->has(stream)) return;
+  const paxos::StreamInfo* info = directory_->find(stream);
+  if (info == nullptr) return;
   if (spans().enabled()) {
     spans().record(t.cmd.id, obs::SpanStage::kClientSend, now(), id(), stream);
   }
-  send(directory_->get(stream).coordinator,
-       net::make_message<paxos::ClientProposeMsg>(stream, t.cmd));
+  send(info->coordinator, net::make_message<paxos::ClientProposeMsg>(stream, t.cmd));
 }
 
 void KvClient::complete(size_t thread_index, std::string_view get_value) {
   Outstanding& t = threads_[thread_index];
-  t.done = true;
+  awaiting_[thread_index] = 0;
   const Tick latency = now() - t.sent_at;
   latency_->record(now(), latency);
   completions_->add(now());
@@ -167,17 +172,15 @@ void KvClient::on_message(NodeId from, const MessagePtr& msg) {
   if (registry_client_.on_message(msg)) return;
   if (msg->type() != net::MsgType::kKvReply) return;
   const auto& reply = static_cast<const multicast::ReplyMsg&>(*msg);
-  auto it = inflight_.find(reply.command_id);
-  if (it == inflight_.end()) return;
-  const size_t thread_index = it->second;
+  const auto it = std::find(awaiting_.begin(), awaiting_.end(), reply.command_id);
+  if (reply.command_id == 0 || it == awaiting_.end()) return;  // late or duplicate
+  const size_t thread_index = static_cast<size_t>(it - awaiting_.begin());
   Outstanding& t = threads_[thread_index];
-  if (t.done) return;
 
   if (t.op.is_multi_partition()) {
     if (!t.shards_received.insert(static_cast<uint32_t>(reply.shard)).second) return;
     if (t.shards_received.size() < t.shards_expected) return;  // waiting for more shards
   }
-  inflight_.erase(reply.command_id);
   if (spans().enabled()) {
     spans().record(reply.command_id, obs::SpanStage::kReply, now(), id(),
                    obs::kSpanNoStream);

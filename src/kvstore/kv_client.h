@@ -13,7 +13,6 @@
 // pairs.
 #pragma once
 
-#include <unordered_map>
 #include <unordered_set>
 
 #include "checker/linearizability.h"
@@ -87,7 +86,6 @@ class KvClient : public sim::Process {
     Tick sent_at = 0;
     std::unordered_set<uint32_t> shards_received;  // getrange partials
     size_t shards_expected = 1;
-    bool done = true;
   };
 
   void issue(size_t thread_index);
@@ -105,7 +103,9 @@ class KvClient : public sim::Process {
   uint32_t seq_ = 1;
 
   std::vector<Outstanding> threads_;
-  std::unordered_map<uint64_t, size_t> inflight_;  // cmd id -> thread
+  /// Per thread, the id of its unanswered command (0: none). Replies
+  /// find their thread by a scan; a late or duplicate one finds none.
+  std::vector<uint64_t> awaiting_;
   multicast::RetryQueue retry_queue_;
   std::string value_;  // scratch for the put value being encoded
 

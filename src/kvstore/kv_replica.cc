@@ -56,11 +56,12 @@ void KvReplica::absorb_store(const std::string& encoded_pairs, bool overwrite) {
   auto pairs = decode_pairs(encoded_pairs);
   charge(static_cast<Tick>(pairs.size()) * kv_config_.scan_cpu_per_key);
   for (auto& [k, v] : pairs) {
-    if (!overwrite && store_.get(k)) continue;
+    const uint64_t hash = key_hash(k);
+    if (!overwrite && store_.get(k, hash)) continue;
     // Each absorbed value owns its bytes, so no entry pins the blob.
     auto owner = std::make_shared<const std::string>(std::move(v));
     const std::string_view bytes = *owner;
-    store_.put(k, bytes, std::move(owner));
+    store_.put(k, hash, bytes, std::move(owner));
   }
 }
 
@@ -138,7 +139,8 @@ void KvReplica::execute(const Command& cmd, const KvOp& op) {
 }
 
 void KvReplica::execute_single(const Command& cmd, const KvOp& op) {
-  if (!owns(op.hash())) {
+  const uint64_t hash = op.hash();
+  if (!owns(hash)) {
     // Wrong partition (command raced a re-partitioning): discard; the
     // client re-sends to the correct partition after its timeout.
     discarded_->add(now());
@@ -147,11 +149,11 @@ void KvReplica::execute_single(const Command& cmd, const KvOp& op) {
   executed_->add(now());
   switch (op.kind) {
     case OpKind::kPut:
-      store_.put(op.key, op.value, cmd.payload);
+      store_.put(op.key, hash, op.value, cmd.payload);
       reply(cmd, 0);
       break;
     case OpKind::kGet: {
-      const std::optional<std::string_view> value = store_.get(op.key);
+      const std::optional<std::string_view> value = store_.get(op.key, hash);
       if (!value) {
         reply(cmd, 1);
       } else {

@@ -7,19 +7,31 @@
 // everywhere"). An overwrite or an erase drops the entry's reference.
 //
 // Two indexes over the same entries. The ordered one owns them and
-// serves every scan (getrange, purge, snapshots, equality); the hash one
-// maps a key to its ordered-index node, so a get, or a put to an
-// existing key, is one hash lookup and no tree walk. The hash index is
-// never iterated: its order is not deterministic (epx-lint R2).
+// serves every scan (getrange, purge, snapshots, equality). The hash one
+// is a flat open-addressing table of 16-byte {hash, entry} slots keyed by
+// the key's partition hash (util/hash.h key_hash), which the replica
+// computes anyway to check ownership and passes in, so an op hashes its
+// key once. A get, or a put to an existing key, is one linear-probe run
+// plus one ordered-index node: no allocation, no tree walk. Only a new
+// key's insert walks the tree.
+//
+// Home slots come from the hash's low bits: a partition owns one
+// contiguous hash range, which fixes the top bits of its keys, never the
+// low ones. The table doubles at load 1/2 and deletes by backward shift,
+// so it has no tombstones. It is never iterated: the ordered index is
+// the only one anything walks (epx-lint R2).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
+
+#include "util/hash.h"
 
 namespace epx::kv {
 
@@ -30,17 +42,22 @@ class KvStore {
   struct Value {
     Payload owner;  ///< the buffer `bytes` lives in
     std::string_view bytes;
+    uint64_t hash = 0;  ///< the key's hash, as given to put()
   };
   using Ordered = std::map<std::string, Value, std::less<>>;
 
-  KvStore() = default;
+  KvStore() : slots_(kMinSlots) {}
   // The hash index points into this object's ordered index.
   KvStore(const KvStore&) = delete;
   KvStore& operator=(const KvStore&) = delete;
 
-  /// Sets `key` to `value`, which must lie inside `*owner`.
-  void put(std::string_view key, std::string_view value, Payload owner);
-  std::optional<std::string_view> get(std::string_view key) const;
+  /// Sets `key` to `value`, which must lie inside `*owner`. `hash` is
+  /// key_hash(key); a key must come with the same hash every time.
+  void put(std::string_view key, uint64_t hash, std::string_view value, Payload owner);
+  std::optional<std::string_view> get(std::string_view key, uint64_t hash) const;
+  std::optional<std::string_view> get(std::string_view key) const {
+    return get(key, key_hash(key));
+  }
 
   /// Erases every entry whose key matches `pred`; returns how many.
   template <typename Pred>
@@ -48,7 +65,7 @@ class KvStore {
     size_t erased = 0;
     for (auto it = ordered_.begin(); it != ordered_.end();) {
       if (pred(std::string_view(it->first))) {
-        hash_index_.erase(it->first);
+        unindex(&*it);
         it = ordered_.erase(it);
         ++erased;
       } else {
@@ -72,9 +89,23 @@ class KvStore {
   friend bool operator==(const KvStore& a, const KvStore& b);
 
  private:
+  using Entry = Ordered::value_type;
+  struct Slot {
+    uint64_t hash = 0;
+    Entry* entry = nullptr;  ///< nullptr: the slot is empty
+  };
+
+  static constexpr size_t kMinSlots = 16;
+
+  /// Slot holding `key`, or the empty slot that ends its probe run.
+  size_t find(std::string_view key, uint64_t hash) const;
+  /// Frees `entry`'s slot and shifts later members of its probe run
+  /// back, so every live entry stays reachable from its home slot.
+  void unindex(const Entry* entry);
+  void grow();
+
   Ordered ordered_;
-  // Keys are views of ordered_'s keys.
-  std::unordered_map<std::string_view, Ordered::iterator> hash_index_;
+  std::vector<Slot> slots_;  ///< power-of-two size, at most half full
 };
 
 }  // namespace epx::kv

@@ -108,6 +108,26 @@ void append_json_escaped(std::string& out, const char* s) {
 
 double to_us(Tick t) { return static_cast<double>(t) / 1000.0; }
 
+bool has_event(const SpanRecord& rec, SpanStage stage, uint32_t node) {
+  for (const SpanEvent& ev : rec.events) {
+    if (ev.stage == stage && ev.node == node) return true;
+  }
+  return false;
+}
+
+// Appends `part`'s events to `into` as record_impl would have, had the id
+// stayed in the live table: the first (stage, node) wins, and a stream-less
+// event takes the stream of the span's first event.
+void merge_record(SpanRecord& into, const SpanRecord& part) {
+  for (SpanEvent ev : part.events) {
+    if (has_event(into, ev.stage, ev.node)) continue;
+    if (ev.stream == kSpanNoStream && !into.events.empty()) {
+      ev.stream = into.events.front().stream;
+    }
+    into.events.push_back(ev);
+  }
+}
+
 // One Chrome "X" complete event on the node's track.
 void append_complete(std::string& out, const char* name, Tick start, Tick dur,
                      uint32_t node, uint32_t stream, uint64_t trace, size_t& count) {
@@ -146,9 +166,7 @@ void SpanCollector::record_impl(uint64_t trace, SpanStage stage, Tick now,
   if (stream == kSpanNoStream && !rec.events.empty()) {
     stream = rec.events.front().stream;
   }
-  for (const SpanEvent& ev : rec.events) {
-    if (ev.stage == stage && ev.node == node) return;  // first wins
-  }
+  if (has_event(rec, stage, node)) return;  // first wins
   rec.events.push_back(SpanEvent{now, duration, stage, node, stream});
   ++recorded_events_;
   publish(rec);
@@ -218,16 +236,19 @@ void SpanCollector::append_span_events(std::string& out, uint64_t trace,
 }
 
 std::string SpanCollector::chrome_trace_json(const Trace* ring) const {
+  // An event that arrives after its span left the live table (a late
+  // subscriber applying the command) opens a second record under the
+  // same id. Merging every record of an id in creation order, which is
+  // time order, gives each id one parent span holding all its stages.
+  std::map<uint64_t, SpanRecord> spans;
+  for (const auto& [trace, rec] : retired_) merge_record(spans[trace], rec);
+  for (const auto& [trace, rec] : live_) {
+    if (trace % sample_every_ == 0) merge_record(spans[trace], rec);
+  }
   std::string body;
   std::map<uint32_t, uint32_t> nodes;
   size_t count = 0;
-  for (const auto& [trace, rec] : retired_) {
-    append_span_events(body, trace, rec, nodes, count);
-  }
-  for (const auto& [trace, rec] : live_) {
-    if (trace % sample_every_ != 0) continue;
-    append_span_events(body, trace, rec, nodes, count);
-  }
+  for (const auto& [trace, rec] : spans) append_span_events(body, trace, rec, nodes, count);
   if (ring != nullptr) {
     for (const TraceEvent& ev : ring->events()) {
       nodes[ev.node] = 1;

@@ -29,6 +29,12 @@ class StreamDirectory {
 
   bool has(StreamId id) const { return streams_.count(id) > 0; }
 
+  /// The stream's entry, or nullptr when it is not in the directory.
+  const StreamInfo* find(StreamId id) const {
+    const auto it = streams_.find(id);
+    return it == streams_.end() ? nullptr : &it->second;
+  }
+
   const StreamInfo& get(StreamId id) const { return streams_.at(id); }
 
   /// Updates the coordinator after a failover.

@@ -1,11 +1,21 @@
-// KV-layer unit tests: partition map arithmetic, op payload handling,
-// replica ownership/discard/purge behaviour, getrange scans and
-// signal-gated execution.
+// KV-layer unit tests: partition map arithmetic, the store against a
+// std::map reference, op payload handling, replica ownership/discard/
+// purge behaviour, getrange scans and signal-gated execution.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "harness/kv_cluster.h"
+#include "kvstore/kv_client.h"
+#include "kvstore/kv_store.h"
 #include "kvstore/partition_map.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace epx {
 namespace {
@@ -96,6 +106,192 @@ TEST(PartitionMapTest, SplitThenMergeRestoresOriginal) {
   EXPECT_TRUE(map.merge(1, new_id));
   EXPECT_EQ(map.partition_count(), 1u);
   EXPECT_EQ(map.lookup_hash(123)->hash_hi, ~0ULL);
+}
+
+// -------------------------------------------------------------- KvStore --
+
+using kv::KvStore;
+using Reference = std::map<std::string, std::string>;
+
+std::string test_key(size_t index) { return kv::KvClient::key_name(index); }
+size_t index_of(std::string_view key) { return std::stoull(std::string(key.substr(3))); }
+
+// A deliberately clumped hash for the store's table: a quarter of the
+// keys keep their real hash, a quarter start at the last slot of any
+// table up to 2^16 slots (their probe runs wrap past the end), a quarter
+// start at slot 0, and the last quarter share the whole 64-bit hash of
+// the wrapping key two indexes below.
+uint64_t clumped_hash(size_t index) {
+  const uint64_t real = key_hash(test_key(index));
+  switch (index % 4) {
+    case 0:
+      return real;
+    case 1:
+      return (real << 16) | 0xffff;
+    case 2:
+      return real & ~uint64_t{0xffff};
+    default:
+      return clumped_hash(index - 2);
+  }
+}
+
+// A put's value inside a larger payload, as a command payload holds it.
+struct Put {
+  KvStore::Payload owner;
+  std::string_view bytes;
+};
+
+Put make_put(std::string_view value) {
+  std::string payload;
+  payload.push_back('<');
+  payload.append(value);
+  payload.push_back('>');
+  auto owner = std::make_shared<const std::string>(std::move(payload));
+  return Put{owner, std::string_view(*owner).substr(1, value.size())};
+}
+
+void put(KvStore& store, const std::string& key, std::string_view value) {
+  const Put p = make_put(value);
+  store.put(key, clumped_hash(index_of(key)), p.bytes, p.owner);
+}
+
+void expect_same(const KvStore& store, const Reference& ref, size_t universe) {
+  ASSERT_EQ(store.size(), ref.size());
+  for (size_t k = 0; k < universe; ++k) {
+    const std::string key = test_key(k);
+    const auto want = ref.find(key);
+    const std::optional<std::string_view> got = store.get(key, clumped_hash(k));
+    if (want == ref.end()) {
+      EXPECT_FALSE(got) << key;
+    } else {
+      ASSERT_TRUE(got) << key;
+      EXPECT_EQ(*got, want->second) << key;
+    }
+  }
+  EXPECT_TRUE(std::equal(store.begin(), store.end(), ref.begin(), ref.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first == b.first && a.second.bytes == b.second;
+                         }));
+}
+
+TEST(KvStoreTest, MatchesStdMapReference) {
+  constexpr size_t kUniverse = 400;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    KvStore store;
+    Reference ref;
+    for (int step = 1; step <= 4000; ++step) {
+      const std::string key = test_key(rng.uniform(kUniverse));
+      const double dice = rng.uniform_double();
+      if (dice < 0.55) {  // a new key or an overwrite
+        const std::string value = std::to_string(rng.next());
+        put(store, key, value);
+        ref[key] = value;
+      } else if (dice < 0.80) {
+        const auto want = ref.find(key);
+        const std::optional<std::string_view> got =
+            store.get(key, clumped_hash(index_of(key)));
+        ASSERT_EQ(got.has_value(), want != ref.end()) << key;
+        if (got) {
+          EXPECT_EQ(*got, want->second) << key;
+        }
+      } else if (dice < 0.85) {  // erase one residue class of the indexes
+        const size_t m = 2 + rng.uniform(6);
+        const size_t r = rng.uniform(m);
+        const auto pick = [&](std::string_view k) { return index_of(k) % m == r; };
+        size_t want = 0;
+        for (auto it = ref.begin(); it != ref.end();) {
+          if (pick(it->first)) {
+            it = ref.erase(it);
+            ++want;
+          } else {
+            ++it;
+          }
+        }
+        EXPECT_EQ(store.erase_if(pick), want);
+      } else if (dice < 0.95) {
+        std::optional<std::string> hi;
+        if (!rng.chance(0.2)) hi = test_key(rng.uniform(kUniverse + 1));
+        std::vector<std::pair<std::string, std::string>> want;
+        for (auto it = ref.lower_bound(key); it != ref.end() && (!hi || it->first < *hi);
+             ++it) {
+          want.push_back(*it);
+        }
+        size_t count = 0;
+        EXPECT_EQ(store.encode_range(key, hi, &count), kv::encode_pairs(want));
+        EXPECT_EQ(count, want.size());
+      } else {  // the same pairs, inserted in reverse from other buffers
+        KvStore copy;
+        for (auto it = ref.rbegin(); it != ref.rend(); ++it) {
+          put(copy, it->first, it->second);
+        }
+        EXPECT_TRUE(copy == store);
+        if (!ref.empty()) {
+          std::string changed = ref.begin()->second;
+          changed.push_back('!');
+          put(copy, ref.begin()->first, changed);
+          EXPECT_FALSE(copy == store);
+        }
+      }
+      if (step % 500 == 0) expect_same(store, ref, kUniverse);
+    }
+  }
+}
+
+TEST(KvStoreTest, DistinctKeysWithOneHashStayDistinct) {
+  KvStore store;
+  const Put a = make_put("A");
+  const Put b = make_put("B");
+  store.put("alpha", 42, a.bytes, a.owner);
+  store.put("beta", 42, b.bytes, b.owner);
+  EXPECT_EQ(store.get("alpha", 42), "A");
+  EXPECT_EQ(store.get("beta", 42), "B");
+  EXPECT_FALSE(store.get("gamma", 42));
+  EXPECT_EQ(store.erase_if([](std::string_view k) { return k == "alpha"; }), 1u);
+  EXPECT_FALSE(store.get("alpha", 42));
+  EXPECT_EQ(store.get("beta", 42), "B");
+}
+
+TEST(KvStoreTest, WrappedProbeRunShiftsBackOnErase) {
+  // Hashes ending in 0xf start at the last slot of a 16-slot table, so
+  // the run wraps to slots 0, 1, ...; "home0" starts at slot 0 behind it.
+  KvStore store;
+  const Put v = make_put("v");
+  const char* const wrapped[] = {"w0", "w1", "w2", "w3", "w4"};
+  for (uint64_t i = 0; i < 5; ++i) store.put(wrapped[i], 0xf | i << 8, v.bytes, v.owner);
+  store.put("home0", 0x100000, v.bytes, v.owner);
+  EXPECT_EQ(store.erase_if([](std::string_view k) { return k == "w0" || k == "w2"; }), 2u);
+  EXPECT_FALSE(store.get("w0", 0xf));
+  EXPECT_FALSE(store.get("w2", 0xf | 2 << 8));
+  EXPECT_EQ(store.get("w1", 0xf | 1 << 8), "v");
+  EXPECT_EQ(store.get("w3", 0xf | 3 << 8), "v");
+  EXPECT_EQ(store.get("w4", 0xf | 4 << 8), "v");
+  EXPECT_EQ(store.get("home0", 0x100000), "v");
+  EXPECT_EQ(store.size(), 4u);
+}
+
+TEST(KvStoreTest, GrowsAndKeepsEveryKey) {
+  KvStore store;
+  Reference ref;
+  constexpr size_t kKeys = 5000;
+  for (size_t k = 0; k < kKeys; ++k) {
+    put(store, test_key(k), test_key(k));
+    ref[test_key(k)] = test_key(k);
+  }
+  expect_same(store, ref, kKeys + 10);
+  // The key-hash entry point finds what the replica's put stored.
+  const std::string key = test_key(4);  // index 4: its real hash
+  EXPECT_EQ(store.get(key), key);
+}
+
+TEST(KvStoreTest, ClientKeyNameMatchesSnprintf) {
+  for (const size_t index : {size_t{0}, size_t{123}, size_t{9'999'999'999},
+                             size_t{10'000'000'000}, std::numeric_limits<size_t>::max()}) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "key%010zu", index);
+    EXPECT_EQ(kv::KvClient::key_name(index), buf) << index;
+  }
 }
 
 // ------------------------------------------------------------ KvReplica --

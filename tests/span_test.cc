@@ -224,6 +224,40 @@ TEST(SpanExportTest, SyntheticSpanRoundTrips) {
   EXPECT_NE(json.find("merge-point"), std::string::npos);
 }
 
+TEST(SpanExportTest, LateEventAfterEvictionExportsOneSpanPerId) {
+  SpanCollector spans;
+  spans.set_enabled(true);
+  spans.set_capacity(/*max_live=*/2, /*max_retired=*/8);
+  spans.record(0x70, SpanStage::kClientSend, 1000, 1, 4);
+  spans.record(0x70, SpanStage::kDeliver, 3000, 20, 4);
+  spans.record(0x70, SpanStage::kApply, 3000, 20, 4, /*duration=*/100);
+  // Two newer spans push 0x70 out of the live table into the retired list.
+  spans.record(0x71, SpanStage::kClientSend, 4000, 1, 4);
+  spans.record(0x72, SpanStage::kClientSend, 5000, 1, 4);
+  ASSERT_EQ(spans.live().count(0x70), 0u);
+  // A late subscriber delivers and applies 0x70: a second record opens.
+  spans.record(0x70, SpanStage::kDeliver, 9000, 30, 4);
+  spans.record(0x70, SpanStage::kApply, 9000, 30, 4, /*duration=*/100);
+  ASSERT_EQ(spans.live().count(0x70), 1u);
+
+  const std::string json = spans.chrome_trace_json();
+  size_t begins = 0;
+  size_t ends = 0;
+  size_t applies = 0;
+  for (const std::string& line : split_lines(json)) {
+    const std::string ph = json_str_field(line, "ph");
+    if (ph == "b" && json_str_field(line, "id") == "0x70") ++begins;
+    if (ph == "e" && json_str_field(line, "id") == "0x70") ++ends;
+    if (ph == "X" && json_str_field(line, "name") == "apply") ++applies;
+  }
+  EXPECT_EQ(begins, 1u);
+  EXPECT_EQ(ends, 1u);
+  EXPECT_EQ(applies, 2u);  // both replicas' applies, under the one parent
+  size_t span_count = 0;
+  validate_chrome_trace(json, &span_count, nullptr);
+  EXPECT_EQ(span_count, 1u);
+}
+
 TEST(SpanExportTest, WritesFile) {
   SpanCollector spans;
   spans.set_enabled(true);
