@@ -7,6 +7,7 @@
 // events/sec) for EXPERIMENTS.md and regression tracking.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -26,6 +27,7 @@
 #include "kvstore/kv_client.h"
 #include "kvstore/kv_store.h"
 #include "kvstore/partition_map.h"
+#include "multicast/messages.h"
 #include "multicast/stream_queue.h"
 #include "net/message.h"
 #include "paxos/acceptor_store.h"
@@ -444,6 +446,73 @@ void BM_KvStoreGetStdUnorderedMapBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_KvStoreGetStdUnorderedMapBaseline);
 
+/// A getrange reply in the replica's shape: a 50-key range of 1 KB
+/// values from a store filled as above, wrapped in a ReplyMsg and sized
+/// once, as Network::send does. BM_KvGetRangeReply collects the range as
+/// a net::SharedBody that references each value's payload.
+/// BM_KvGetRangeReplyCopyBaseline first writes the same bytes into one
+/// fresh string over the same ordered index, as the store's
+/// encode_range() did before replies shared their bytes.
+constexpr size_t kRangeSpan = 50;
+
+struct CopyingRangeStore {
+  kv::KvStore::Ordered ordered;
+
+  void put(std::string_view key, uint64_t hash, std::string_view value,
+           kv::KvStore::Payload owner) {
+    ordered.insert_or_assign(std::string(key),
+                             kv::KvStore::Value{std::move(owner), value, hash});
+  }
+  /// Two passes over the range: size it, then write it into one buffer.
+  net::SharedBody range(std::string_view lo, std::string_view hi) const {
+    const auto first = ordered.lower_bound(lo);
+    auto last = first;
+    size_t n = 0;
+    size_t bytes = 0;
+    for (; last != ordered.end() && last->first < hi; ++last) {
+      ++n;
+      bytes += net::Writer::bytes_size(last->first.size()) +
+               net::Writer::bytes_size(last->second.bytes.size());
+    }
+    std::string out;
+    out.reserve(net::Writer::varint_size(n) + bytes);
+    net::StringWriter w(out);
+    w.varint(n);
+    for (auto it = first; it != last; ++it) {
+      w.bytes(it->first);
+      w.bytes(it->second.bytes);
+    }
+    return net::SharedBody(std::make_shared<const std::string>(std::move(out)));
+  }
+};
+
+template <typename Store>
+void run_getrange_reply(benchmark::State& state, Store& store) {
+  const KvBenchInput& in = kv_bench_input();
+  fill_kv_store(store, in);
+  size_t next = 0;
+  for (auto _ : state) {
+    const uint32_t k = std::min<uint32_t>(in.stream[next], kKvKeys - kRangeSpan - 1);
+    auto reply = net::make_mutable_message<multicast::ReplyMsg>(next, 0);
+    reply->payload = store.range(in.keys[k], in.keys[k + kRangeSpan]);
+    benchmark::DoNotOptimize(reply->body_size());
+    if (++next == in.stream.size()) next = 0;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
+void BM_KvGetRangeReply(benchmark::State& state) {
+  kv::KvStore store;
+  run_getrange_reply(state, store);
+}
+BENCHMARK(BM_KvGetRangeReply);
+
+void BM_KvGetRangeReplyCopyBaseline(benchmark::State& state) {
+  CopyingRangeStore store;
+  run_getrange_reply(state, store);
+}
+BENCHMARK(BM_KvGetRangeReplyCopyBaseline);
+
 void BM_PartitionLookup(benchmark::State& state) {
   std::vector<kv::PartitionEntry> entries;
   const int n = static_cast<int>(state.range(0));
@@ -646,14 +715,13 @@ void BM_SimulatedClusterSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedClusterSecond);
 
-/// The telemetry A/B twin of BM_SimulatedClusterSecond: identical
-/// topology and load, scrape plane on at the default 100 ms interval.
-/// perf-smoke gates the pair — telemetry must cost at most a few percent
-/// of real time over the disabled run (compare.py --ab).
-void BM_SimulatedClusterSecondTelemetry(benchmark::State& state) {
+/// One virtual second per iteration of BM_SimulatedClusterSecond's
+/// cluster with the telemetry plane scraping every `interval`.
+void run_telemetry_cluster_second(benchmark::State& state, Tick interval) {
   log::set_level(log::Level::kOff);
   harness::ClusterOptions options;
   options.telemetry.enabled = true;
+  options.telemetry.interval = interval;
   harness::Cluster cluster(options);
   const auto s1 = cluster.add_stream();
   auto* r1 = cluster.add_replica(1, {s1});
@@ -670,7 +738,30 @@ void BM_SimulatedClusterSecondTelemetry(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(r1->delivered()));
 }
+
+/// The telemetry A/B twin of BM_SimulatedClusterSecond: identical
+/// topology and load, scrape plane on at the default 100 ms interval.
+/// perf-smoke gates the pair — telemetry must cost at most a few percent
+/// of real time over the disabled run (compare.py --ab).
+void BM_SimulatedClusterSecondTelemetry(benchmark::State& state) {
+  run_telemetry_cluster_second(state, harness::ClusterOptions{}.telemetry.interval);
+}
 BENCHMARK(BM_SimulatedClusterSecondTelemetry);
+
+/// The scrape-interval sweep around that default, reported as
+/// BM_SimulatedClusterSecondTelemetry/interval_ms:N. Scrapes are part of
+/// the simulated workload (agent CPU, NIC bytes, monitor CPU), so a
+/// shorter interval costs both host time per virtual second and
+/// delivered commands (items). The A/B gate's filter anchors on the bare
+/// name, so these points are not gated.
+void BM_SimulatedClusterSecondTelemetryInterval(benchmark::State& state) {
+  run_telemetry_cluster_second(state, static_cast<Tick>(state.range(0)) * kMillisecond);
+}
+BENCHMARK(BM_SimulatedClusterSecondTelemetryInterval)
+    ->Name("BM_SimulatedClusterSecondTelemetry")
+    ->ArgName("interval_ms")
+    ->Arg(10)
+    ->Arg(1000);
 
 /// Thread-scaling series: one virtual second of a loaded EIGHT-ring
 /// cluster per iteration, executed on T shards. The topology is fixed

@@ -212,8 +212,7 @@ void KvCluster::finish_merge(uint32_t into, uint32_t from) {
   assert(into_p != nullptr && from_p != nullptr);
   // Hand the old shard's data over: local (newer) values win.
   if (!from_p->members.empty()) {
-    const std::string blob =
-        from_p->members.front()->store().encode_range({}, std::nullopt);
+    const std::string blob = from_p->members.front()->store().range({}, std::nullopt).str();
     for (auto* r : into_p->members) r->absorb_store(blob, /*overwrite=*/false);
   }
   cluster_.controller().unsubscribe(into_p->group, from_p->stream, into_p->stream);

@@ -50,7 +50,7 @@ struct TelemetryFlags {
 
   Tick interval() const { return static_cast<Tick>(interval_ms) * kMillisecond; }
 
-  /// For multi-cluster drivers (cluster_bench, recovery_matrix): a copy
+  /// For multi-cluster drivers (recovery_matrix): a copy
   /// whose output path carries a scenario tag, `x.json` -> `x.<tag>.json`.
   TelemetryFlags with_tag(const char* tag) const {
     TelemetryFlags flags = *this;

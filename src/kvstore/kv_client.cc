@@ -178,16 +178,20 @@ void KvClient::on_message(NodeId from, const MessagePtr& msg) {
   Outstanding& t = threads_[thread_index];
 
   if (t.op.is_multi_partition()) {
-    if (!t.shards_received.insert(static_cast<uint32_t>(reply.shard)).second) return;
+    const auto shard = static_cast<uint32_t>(reply.shard);
+    if (std::find(t.shards_received.begin(), t.shards_received.end(), shard) !=
+        t.shards_received.end()) {
+      return;
+    }
+    t.shards_received.push_back(shard);
     if (t.shards_received.size() < t.shards_expected) return;  // waiting for more shards
   }
   if (spans().enabled()) {
     spans().record(reply.command_id, obs::SpanStage::kReply, now(), id(),
                    obs::kSpanNoStream);
   }
-  complete(thread_index, reply.payload && !t.op.is_multi_partition()
-                             ? std::string_view(*reply.payload)
-                             : std::string_view());
+  complete(thread_index,
+           t.op.is_multi_partition() ? std::string_view() : reply.payload.flat());
 }
 
 }  // namespace epx::kv

@@ -13,8 +13,6 @@
 // pairs.
 #pragma once
 
-#include <unordered_set>
-
 #include "checker/linearizability.h"
 #include "kvstore/kv_op.h"
 #include "kvstore/partition_map.h"
@@ -84,7 +82,9 @@ class KvClient : public sim::Process {
     paxos::Command cmd;
     KvOp op;  ///< views into cmd.payload
     Tick sent_at = 0;
-    std::unordered_set<uint32_t> shards_received;  // getrange partials
+    /// Partitions that answered a getrange: at most partition_count()
+    /// of them, so a scan of a reused vector finds a repeat.
+    std::vector<uint32_t> shards_received;
     size_t shards_expected = 1;
   };
 

@@ -5,28 +5,16 @@
 
 namespace epx::kv {
 
-void append_varint(std::string& out, uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>(static_cast<uint8_t>(v) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-void append_bytes(std::string& out, std::string_view data) {
-  append_varint(out, data.size());
-  out.append(data);
-}
-
 std::string KvOp::encode() const {
   using net::Writer;
   std::string out;
   out.reserve(1 + Writer::bytes_size(key.size()) + Writer::bytes_size(value.size()) +
               Writer::bytes_size(end_key.size()));
-  out.push_back(static_cast<char>(kind));
-  append_bytes(out, key);
-  append_bytes(out, value);
-  append_bytes(out, end_key);
+  net::StringWriter w(out);
+  w.u8(static_cast<uint8_t>(kind));
+  w.bytes(key);
+  w.bytes(value);
+  w.bytes(end_key);
   return out;
 }
 

@@ -41,11 +41,6 @@ struct KvOp {
   static Result<KvOp> decode(std::string_view payload);
 };
 
-/// Appends `data` in net::Writer::bytes() layout (LEB128 length, then
-/// the bytes), for encoders that size their output string up front.
-void append_bytes(std::string& out, std::string_view data);
-void append_varint(std::string& out, uint64_t v);
-
 /// Encodes a list of key/value pairs (getrange partial results).
 std::string encode_pairs(const std::vector<std::pair<std::string, std::string>>& pairs);
 std::vector<std::pair<std::string, std::string>> decode_pairs(std::string_view data);

@@ -111,6 +111,7 @@ void KvReplica::drain_exec_queue() {
       }
       if (!signals_complete(head.cmd.id)) return;  // blocked on peers
       signals_.erase(head.cmd.id);
+      executed_ranges_.insert(head.cmd.id);
     }
     const PendingExec exec = std::move(exec_queue_.front());
     exec_queue_.pop_front();
@@ -120,12 +121,9 @@ void KvReplica::drain_exec_queue() {
 
 bool KvReplica::signals_complete(uint64_t command_id) const {
   // One signal from each *other* partition present in the peer list.
-  // peers_ is a plain vector, so the scan order is deterministic
-  // (epx-lint R2 bans iterating a scratch unordered_set here).
-  const auto it = signals_.find(command_id);
   for (const PeerReplica& peer : peers_) {
     if (peer.partition_id == kv_config_.partition_id) continue;
-    if (it == signals_.end() || it->second.count(peer.partition_id) == 0) return false;
+    if (!signals_.contains(command_id, peer.partition_id)) return false;
   }
   return true;
 }
@@ -153,11 +151,11 @@ void KvReplica::execute_single(const Command& cmd, const KvOp& op) {
       reply(cmd, 0);
       break;
     case OpKind::kGet: {
-      const std::optional<std::string_view> value = store_.get(op.key, hash);
-      if (!value) {
+      const KvStore::Value* value = store_.find_value(op.key, hash);
+      if (value == nullptr) {
         reply(cmd, 1);
       } else {
-        reply(cmd, 0, std::make_shared<const std::string>(*value));
+        reply(cmd, 0, net::SharedBody(value->owner, value->bytes));
       }
       break;
     }
@@ -168,15 +166,12 @@ void KvReplica::execute_single(const Command& cmd, const KvOp& op) {
 
 void KvReplica::execute_getrange(const Command& cmd, const KvOp& op) {
   executed_->add(now());
-  size_t visited = 0;
-  auto result = std::make_shared<const std::string>(
-      store_.encode_range(op.key, op.end_key, &visited));
-  charge(static_cast<Tick>(visited) * kv_config_.scan_cpu_per_key);
+  net::SharedBody result = store_.range(op.key, op.end_key);
+  charge(static_cast<Tick>(result.pair_count()) * kv_config_.scan_cpu_per_key);
   reply(cmd, 0, std::move(result));
 }
 
-void KvReplica::reply(const Command& cmd, uint8_t status,
-                      std::shared_ptr<const std::string> payload) {
+void KvReplica::reply(const Command& cmd, uint8_t status, net::SharedBody payload) {
   if (cmd.client == net::kInvalidNode) return;
   auto msg = net::make_mutable_message<multicast::ReplyMsg>(cmd.id, status);
   msg->shard = kv_config_.partition_id;
@@ -188,20 +183,9 @@ void KvReplica::on_app_message(NodeId from, const MessagePtr& msg) {
   switch (msg->type()) {
     case net::MsgType::kKvSignal: {
       const auto& signal = static_cast<const KvSignalMsg&>(*msg);
-      auto [it, fresh] = signals_.try_emplace(signal.command_id);
-      it->second.insert(signal.partition_id);
-      if (fresh) {
-        // Bound memory: signals for commands that never materialise here
-        // (duplicates, commands discarded below a merge point) age out
-        // FIFO. Evicting a live entry only delays that command until the
-        // peers' client re-sends it.
-        signal_order_.push_back(signal.command_id);
-        constexpr size_t kSignalCap = 1 << 16;
-        if (signal_order_.size() > kSignalCap) {
-          signals_.erase(signal_order_.front());
-          signal_order_.pop_front();
-        }
-      }
+      // Late: another replica of a partition that already unblocked it.
+      if (executed_ranges_.contains(signal.command_id)) break;
+      signals_.insert(signal.command_id, signal.partition_id);
       drain_exec_queue();
       break;
     }
@@ -212,9 +196,9 @@ void KvReplica::on_app_message(NodeId from, const MessagePtr& msg) {
       reply_msg->clean =
           merger().phase() == elastic::ElasticMerger::Phase::kNormal;
       if (reply_msg->clean) {
-        size_t keys = 0;
-        reply_msg->store = std::make_shared<const std::string>(
-            store_.encode_range({}, std::nullopt, &keys));
+        const net::SharedBody all = store_.range({}, std::nullopt);
+        const size_t keys = all.pair_count();
+        reply_msg->store = std::make_shared<const std::string>(all.str());
         snapshot_bytes_->add(now(), reply_msg->store->size());
         for (StreamId s : merger().subscriptions()) {
           reply_msg->stream_positions.emplace_back(s, merger().queue(s).next_index());

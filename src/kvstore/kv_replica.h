@@ -9,20 +9,28 @@
 // commands (getrange) arrive on the shared stream at every replica and
 // are coordinated with direct signal messages: execution blocks until
 // every other involved partition has signalled delivery, which
-// preserves linearizability across shards.
+// preserves linearizability across shards. Signals wait in a
+// SignalTable until their getrange executes. One signal per partition
+// unblocks it, so the signals of a partition's other replicas arrive
+// after it ran; the replica remembers the getranges it executed and
+// drops those late signals instead of storing them.
+//
+// Replies share the store's bytes: a get's reply views the stored
+// value and a getrange's reply lists the range's pairs (net::SharedBody).
 //
 // The replica also serves snapshots (store + merger cut) for state
 // transfer when a new replica joins the group.
 #pragma once
 
-#include <unordered_map>
-#include <unordered_set>
+#include <deque>
 
 #include "elastic/replica.h"
 #include "kvstore/kv_messages.h"
 #include "kvstore/kv_op.h"
 #include "kvstore/kv_store.h"
 #include "kvstore/partition_map.h"
+#include "kvstore/signal_table.h"
+#include "util/id_window.h"
 
 namespace epx::kv {
 
@@ -70,6 +78,8 @@ class KvReplica : public elastic::Replica {
   uint64_t executed() const { return executed_->total(); }
   uint64_t discarded_wrong_partition() const { return discarded_->total(); }
   const WindowedCounter& executed_series() const { return executed_->series(); }
+  /// Getrange signals waiting for a getrange that has not executed here.
+  size_t pending_signals() const { return signals_.size(); }
 
   /// Installs a snapshot (store + merger cut) received from a peer; used
   /// when this replica joins an existing group. Must be called before
@@ -107,15 +117,22 @@ class KvReplica : public elastic::Replica {
   void execute_single(const Command& cmd, const KvOp& op);
   void execute_getrange(const Command& cmd, const KvOp& op);
   bool signals_complete(uint64_t command_id) const;
-  void reply(const Command& cmd, uint8_t status,
-             std::shared_ptr<const std::string> payload = nullptr);
+  void reply(const Command& cmd, uint8_t status, net::SharedBody payload = {});
+
+  /// Signals for commands that never materialise here (duplicates,
+  /// commands discarded below a merge point) age out at this bound.
+  static constexpr size_t kSignalCap = 1 << 16;
+  /// Executed getranges remembered to recognise late signals: seconds of
+  /// peer lag at the benchmark's getrange rate. A signal later than that
+  /// waits in the table until the cap evicts it.
+  static constexpr size_t kExecutedRangeWindow = 1 << 12;
 
   KvConfig kv_config_;
   KvStore store_;
   std::vector<PeerReplica> peers_;
   std::deque<PendingExec> exec_queue_;
-  std::unordered_map<uint64_t, std::unordered_set<uint32_t>> signals_;
-  std::deque<uint64_t> signal_order_;  // FIFO bound on signals_
+  SignalTable signals_{kSignalCap};
+  IdWindow executed_ranges_{kExecutedRangeWindow};
 
   NodeId join_donor_ = net::kInvalidNode;
   bool joined_ = false;

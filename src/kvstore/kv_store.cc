@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "kvstore/kv_op.h"
-#include "net/buffer.h"
-
 namespace epx::kv {
 
 size_t KvStore::find(std::string_view key, uint64_t hash) const {
@@ -34,10 +31,9 @@ void KvStore::put(std::string_view key, uint64_t hash, std::string_view value,
   slots_[i] = Slot{hash, &entry};
 }
 
-std::optional<std::string_view> KvStore::get(std::string_view key, uint64_t hash) const {
+const KvStore::Value* KvStore::find_value(std::string_view key, uint64_t hash) const {
   const Entry* hit = slots_[find(key, hash)].entry;
-  if (hit == nullptr) return std::nullopt;
-  return hit->second.bytes;
+  return hit == nullptr ? nullptr : &hit->second;
 }
 
 void KvStore::unindex(const Entry* entry) {
@@ -68,27 +64,18 @@ void KvStore::grow() {
   }
 }
 
-std::string KvStore::encode_range(std::string_view lo, std::optional<std::string_view> hi,
-                                  size_t* count) const {
-  // Two passes over the range: size it, then write it into one buffer.
+net::SharedBody KvStore::range(std::string_view lo,
+                               std::optional<std::string_view> hi) const {
+  // Count the range first, so its pairs take one pool block.
   const auto first = ordered_.lower_bound(lo);
   auto last = first;
   size_t n = 0;
-  size_t bytes = 0;
-  for (; last != ordered_.end() && (!hi || last->first < *hi); ++last) {
-    ++n;
-    bytes += net::Writer::bytes_size(last->first.size()) +
-             net::Writer::bytes_size(last->second.bytes.size());
-  }
-  std::string out;
-  out.reserve(net::Writer::varint_size(n) + bytes);
-  append_varint(out, n);
+  for (; last != ordered_.end() && (!hi || last->first < *hi); ++last) ++n;
+  net::SharedBody body = net::SharedBody::pair_list(n);
   for (auto it = first; it != last; ++it) {
-    append_bytes(out, it->first);
-    append_bytes(out, it->second.bytes);
+    body.add(it->first, it->second.owner, it->second.bytes);
   }
-  if (count != nullptr) *count = n;
-  return out;
+  return body;
 }
 
 bool operator==(const KvStore& a, const KvStore& b) {

@@ -5,6 +5,10 @@
 // the value bytes inside it, so the replicas of a partition all point at
 // the one payload the client built (DESIGN.md §12, "freeze once, share
 // everywhere"). An overwrite or an erase drops the entry's reference.
+// Reads share the bytes the same way: a get hands out the entry's
+// {payload, view}, and range() collects a key interval into a
+// net::SharedBody pair list that references each value's payload, so a
+// reply stays valid after the entries it was read from change.
 //
 // Two indexes over the same entries. The ordered one owns them and
 // serves every scan (getrange, purge, snapshots, equality). The hash one
@@ -31,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "net/wire.h"
 #include "util/hash.h"
 
 namespace epx::kv {
@@ -54,7 +59,12 @@ class KvStore {
   /// Sets `key` to `value`, which must lie inside `*owner`. `hash` is
   /// key_hash(key); a key must come with the same hash every time.
   void put(std::string_view key, uint64_t hash, std::string_view value, Payload owner);
-  std::optional<std::string_view> get(std::string_view key, uint64_t hash) const;
+  /// The entry for `key`, or nullptr.
+  const Value* find_value(std::string_view key, uint64_t hash) const;
+  std::optional<std::string_view> get(std::string_view key, uint64_t hash) const {
+    const Value* v = find_value(key, hash);
+    return v == nullptr ? std::nullopt : std::optional<std::string_view>(v->bytes);
+  }
   std::optional<std::string_view> get(std::string_view key) const {
     return get(key, key_hash(key));
   }
@@ -75,11 +85,11 @@ class KvStore {
     return erased;
   }
 
-  /// Encodes the entries with `lo <= key < hi` (no upper bound when `hi`
-  /// is unset) in key order, byte for byte as encode_pairs() would.
-  /// Stores the number of entries in `*count` when given.
-  std::string encode_range(std::string_view lo, std::optional<std::string_view> hi,
-                           size_t* count = nullptr) const;
+  /// The entries with `lo <= key < hi` (no upper bound when `hi` is
+  /// unset) in key order, as a pair list that shares their values'
+  /// payloads. Its str() is what encode_pairs() gives for the same
+  /// pairs.
+  net::SharedBody range(std::string_view lo, std::optional<std::string_view> hi) const;
 
   size_t size() const { return ordered_.size(); }
   Ordered::const_iterator begin() const { return ordered_.begin(); }

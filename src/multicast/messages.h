@@ -4,6 +4,12 @@
 // §VI: "replicas execute the commands ... and reply back directly to the
 // client"). The same message carries key/value store results; plain
 // broadcast benchmarks use it with an empty payload.
+//
+// A KV result is a net::SharedBody: a get's reply views the stored value
+// and a getrange's reply lists its pairs, each holding a reference to
+// the payload its value lives in. No value is copied until something
+// encodes the message, and the encoding is the one an owned string would
+// give (DESIGN.md §12).
 #pragma once
 
 #include "net/wire.h"
@@ -18,7 +24,7 @@ struct ReplyMsg final : Wire<ReplyMsg> {
   uint64_t command_id = 0;
   uint8_t status = 0;  ///< 0 = ok; application-defined otherwise
   uint64_t shard = 0;  ///< replying partition id (getrange partial assembly)
-  std::shared_ptr<const std::string> payload;
+  net::SharedBody payload;  ///< empty for puts, statuses and broadcast acks
 
   ReplyMsg() = default;
   ReplyMsg(uint64_t id, uint8_t st) : command_id(id), status(st) {}
@@ -27,9 +33,14 @@ struct ReplyMsg final : Wire<ReplyMsg> {
     io.varint(m.command_id);
     io.u8(m.status);
     io.varint(m.shard);
-    io.bytes(m.payload);
+    io.body(m.payload);
   }
 };
+
+// Every put, status and broadcast ack is a ReplyMsg, and a replaying
+// subscriber can hold hundreds of thousands in flight: 48 bytes plus the
+// shared control block keep each in the envelope pool's 64-byte class.
+static_assert(sizeof(ReplyMsg) <= 48);
 
 /// Registers multicast-level message decoders.
 void register_multicast_messages();

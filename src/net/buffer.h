@@ -74,6 +74,26 @@ class Writer {
   std::vector<uint8_t> buf_;
 };
 
+/// Writer's u8/varint/bytes layout, appended to a std::string, for
+/// encoders that size their output string up front (reserve first).
+class StringWriter {
+ public:
+  explicit StringWriter(std::string& out) : out_(out) {}
+
+  void u8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
+  void varint(uint64_t v) {
+    for (; v >= 0x80; v >>= 7) u8(static_cast<uint8_t>(v) | 0x80);
+    u8(static_cast<uint8_t>(v));
+  }
+  void bytes(std::string_view data) {
+    varint(data.size());
+    out_.append(data);
+  }
+
+ private:
+  std::string& out_;
+};
+
 class Reader {
  public:
   explicit Reader(std::string_view data) : data_(data) {}

@@ -13,9 +13,9 @@
 // primitives, so body_size() equals the encoded length by construction.
 // Every archive offers the same ops: u8/u32/i64/f64/varint/bytes as in
 // Writer, enum8 for a one-byte enum with a known maximum, payload for a
-// command's possibly synthetic payload, list for a varint-counted
-// vector, and nested for a struct (or a shared pointer to one) that has
-// its own fields list.
+// command's possibly synthetic payload, body for a SharedBody, list for
+// a varint-counted vector, and nested for a struct (or a shared pointer
+// to one) that has its own fields list.
 //
 // net::Wire<T> turns a struct with `kType` and `fields` into a Message.
 #pragma once
@@ -24,6 +24,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "net/buffer.h"
 #include "net/message.h"
@@ -32,6 +34,115 @@
 namespace epx::net {
 
 using SharedBytes = std::shared_ptr<const std::string>;
+
+/// The content of a length-prefixed byte field, left in the buffers it
+/// came from until the message is encoded. Two forms:
+///   - flat: one view into a shared buffer (a stored value, or the bytes
+///     a decoder read);
+///   - pair list: key/value pairs in the pairs layout (a varint count,
+///     then each key and each value length-prefixed), each value a view
+///     into a shared buffer.
+/// The body holds a reference to every buffer it views, so it stays
+/// valid after the store it was collected from overwrites or erases the
+/// entries. Its size is known without writing, and it writes exactly the
+/// bytes of an owned string with the same content.
+///
+/// A non-empty body lives in one envelope-pool block behind a single
+/// pointer, so an empty body costs a message nothing beyond that pointer:
+/// put, status and broadcast replies keep their 64-byte pool class.
+/// Copies share the block; build a body, then share it.
+class SharedBody {
+ public:
+  /// Empty flat content.
+  SharedBody() = default;
+  /// All of `*owned`; null is empty. The form a decoder produces, and
+  /// implicit because an owned string is a body.
+  SharedBody(SharedBytes owned) {
+    if (owned) {
+      const std::string_view bytes = *owned;
+      *this = SharedBody(std::move(owned), bytes);
+    }
+  }
+  /// `bytes`, which must lie inside `*owner`.
+  SharedBody(SharedBytes owner, std::string_view bytes) : rep_(make_rep()) {
+    rep_->owner = std::move(owner);
+    rep_->bytes = bytes;
+  }
+
+  /// An empty pair list with room for `capacity` pairs; add() appends.
+  static SharedBody pair_list(size_t capacity = 0) {
+    SharedBody body;
+    body.rep_ = make_rep();
+    body.rep_->is_list = true;
+    body.rep_->pairs.reserve(capacity);
+    return body;
+  }
+  /// Appends a pair to a pair list; `value` must lie inside `*owner`.
+  void add(std::string_view key, const SharedBytes& owner, std::string_view value) {
+    rep_->pairs.push_back(Pair{std::string(key), owner, value});
+    rep_->pair_bytes += Writer::bytes_size(key.size()) + Writer::bytes_size(value.size());
+  }
+
+  /// Length of the content, without the field's length prefix.
+  size_t size() const {
+    if (!rep_) return 0;
+    return rep_->is_list ? Writer::varint_size(rep_->pairs.size()) + rep_->pair_bytes
+                         : rep_->bytes.size();
+  }
+  /// The flat content; empty for a pair list.
+  std::string_view flat() const { return rep_ ? rep_->bytes : std::string_view(); }
+  size_t pair_count() const { return rep_ ? rep_->pairs.size() : 0; }
+
+  /// The content copied into one string of exactly size() bytes.
+  std::string str() const {
+    if (!rep_ || !rep_->is_list) return std::string(flat());
+    std::string out;
+    out.reserve(size());
+    StringWriter w(out);
+    write_pairs(w);
+    return out;
+  }
+
+  /// Writes the field: length prefix, then content.
+  void write(Writer& out) const {
+    if (!rep_ || !rep_->is_list) {
+      out.bytes(flat());
+      return;
+    }
+    out.varint(size());
+    write_pairs(out);
+  }
+
+ private:
+  struct Pair {
+    std::string key;
+    SharedBytes owner;  ///< keeps `value` alive
+    std::string_view value;
+  };
+  struct Rep {
+    SharedBytes owner;  ///< flat form: keeps `bytes` alive
+    std::string_view bytes;
+    std::vector<Pair, PoolAllocator<Pair>> pairs;
+    size_t pair_bytes = 0;  ///< the pairs' share of size()
+    bool is_list = false;
+  };
+
+  static std::shared_ptr<Rep> make_rep() {
+    return std::allocate_shared<Rep>(PoolAllocator<Rep>());
+  }
+
+  /// The one writer of the pairs layout, over a Writer or a StringWriter.
+  template <typename Out>
+  void write_pairs(Out& out) const {
+    out.varint(rep_->pairs.size());
+    for (const Pair& p : rep_->pairs) {
+      out.bytes(p.key);
+      out.bytes(p.value);
+    }
+  }
+
+  std::shared_ptr<Rep> rep_;  ///< null: empty flat content
+};
 
 /// Writer's primitives, counting bytes instead of appending them.
 class ByteCounter {
@@ -73,6 +184,14 @@ class Encoder {
       out_.bytes(*data);
     } else {
       out_.zero_bytes(size);
+    }
+  }
+  /// Sized from the body's cached length; written from its buffers.
+  void body(const SharedBody& b) {
+    if constexpr (std::is_same_v<Sink, ByteCounter>) {
+      out_.zero_bytes(b.size());  // counts a length-prefixed run of that many bytes
+    } else {
+      b.write(out_);
     }
   }
   template <typename E>
@@ -127,6 +246,11 @@ class Decoder {
     const std::string_view view = in_.bytes_view();
     size = view.size();
     data = share(view);
+  }
+  /// A decoded body owns its bytes (flat form); an empty one is null.
+  void body(SharedBody& b) {
+    const std::string_view view = in_.bytes_view();
+    b = view.empty() ? SharedBody() : SharedBody(share(view));
   }
   /// Fails the reader on a byte above `max`.
   template <typename E>

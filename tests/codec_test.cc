@@ -221,6 +221,22 @@ TEST_F(CodecTest, MulticastReplyRoundTrip) {
   reply.payload = std::make_shared<const std::string>("value!");
   round_trip(reply);
   round_trip(multicast::ReplyMsg(43, 1));  // no payload
+
+  // A get reply viewing a value inside a larger payload, and a getrange
+  // reply whose pairs view their values: both decode to owned bytes.
+  const auto stored = std::make_shared<const std::string>("key=value!;");
+  multicast::ReplyMsg get(44, 0);
+  get.payload = net::SharedBody(stored, std::string_view(*stored).substr(4, 6));
+  round_trip(get);
+  multicast::ReplyMsg range(45, 0);
+  range.shard = 2;
+  range.payload = net::SharedBody::pair_list();
+  range.payload.add("k1", stored, std::string_view(*stored).substr(4, 5));
+  range.payload.add("k2", stored, std::string_view(*stored).substr(0, 0));
+  round_trip(range);
+  multicast::ReplyMsg empty_range(46, 0);
+  empty_range.payload = net::SharedBody::pair_list();
+  round_trip(empty_range);
 }
 
 TEST_F(CodecTest, RegistryMessagesRoundTrip) {
@@ -419,6 +435,23 @@ TEST_F(CodecTest, WireBytesArePinned) {
   reply.shard = 300;
   reply.payload = std::make_shared<const std::string>("ok");
 
+  // The zero-copy forms must give the owned-string forms' bytes: a get
+  // reply viewing "ok" inside a stored payload, and a getrange reply
+  // beside the reply owning encode_pairs() of the same pairs.
+  const auto stored = std::make_shared<const std::string>("<ok>1");
+  multicast::ReplyMsg reply_view(42, 1);
+  reply_view.shard = 300;
+  reply_view.payload = net::SharedBody(stored, std::string_view(*stored).substr(1, 2));
+  multicast::ReplyMsg reply_pairs(44, 0);
+  reply_pairs.shard = 2;
+  reply_pairs.payload = net::SharedBody::pair_list();
+  reply_pairs.payload.add("a", stored, std::string_view(*stored).substr(4, 1));
+  reply_pairs.payload.add("bc", stored, std::string_view(*stored).substr(1, 2));
+  multicast::ReplyMsg reply_pairs_owned(44, 0);
+  reply_pairs_owned.shard = 2;
+  reply_pairs_owned.payload =
+      std::make_shared<const std::string>(kv::encode_pairs({{"a", "1"}, {"bc", "ok"}}));
+
   const paxos::ClientProposeMsg propose_real(3, sample_command());
   const paxos::ClientProposeMsg propose_synthetic(4, synthetic);
   const paxos::ProposeRejectMsg reject(3, 42, 9);
@@ -487,6 +520,9 @@ TEST_F(CodecTest, WireBytesArePinned) {
       {"snap", snap, 15, "cc000902737402016402c8010200000000"},
       {"reply", reply, 7, "c9002a01ac02026f6b"},
       {"reply_empty", reply_empty, 4, "c9002b000000"},
+      {"reply_view", reply_view, 7, "c9002a01ac02026f6b"},
+      {"reply_pairs", reply_pairs, 15, "c9002c00020b0201610131026263026f6b"},
+      {"reply_pairs_owned", reply_pairs_owned, 15, "c9002c00020b0201610131026263026f6b"},
   };
   for (const Pinned& c : cases) {
     EXPECT_EQ(c.msg.body_size(), c.body_size) << c.what;

@@ -172,6 +172,46 @@ TEST_F(KvIntegrationTest, GetRangeSpansPartitionsConsistently) {
   }
 }
 
+TEST_F(KvIntegrationTest, LateGetRangeSignalsAreNotKept) {
+  // Two replicas per partition: the first signal from the other
+  // partition unblocks a getrange, and its second replica's signal
+  // arrives after the getrange executed. Nothing may wait for it.
+  KvCluster kvc;
+  kvc.add_partition(2);
+  kvc.add_partition(2);
+  kvc.add_global_stream();
+  kvc.wire_peers();
+  kvc.publish();
+  ASSERT_TRUE(run_until(
+      kvc.cluster(),
+      [&] {
+        for (auto* r : kvc.replicas()) {
+          if (!r->merger().subscribed_to(kvc.global_stream())) return false;
+        }
+        return true;
+      },
+      15 * kSecond));
+
+  KvClient::Config cfg;
+  cfg.threads = 4;
+  cfg.key_space = 200;
+  cfg.value_bytes = 32;
+  cfg.getrange_ratio = 0.5;
+  cfg.range_span = 20;
+  auto* client = kvc.add_client(cfg);
+  client->start();
+  kvc.cluster().run_for(4 * kSecond);
+  client->stop();
+  kvc.cluster().run_for(1 * kSecond);
+
+  EXPECT_GT(client->completed(), 100u);
+  ASSERT_EQ(kvc.replicas().size(), 4u);
+  for (auto* r : kvc.replicas()) {
+    EXPECT_GT(r->executed(), 0u) << r->name();
+    EXPECT_EQ(r->pending_signals(), 0u) << r->name();
+  }
+}
+
 TEST_F(KvIntegrationTest, OnlineSplitKeepsServiceAvailable) {
   // The Fig. 4 scenario at test scale: split one partition in two under
   // load; throughput continues, each replica ends up owning half.

@@ -14,6 +14,7 @@
 #include "kvstore/kv_client.h"
 #include "kvstore/kv_store.h"
 #include "kvstore/partition_map.h"
+#include "kvstore/signal_table.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -218,9 +219,9 @@ TEST(KvStoreTest, MatchesStdMapReference) {
              ++it) {
           want.push_back(*it);
         }
-        size_t count = 0;
-        EXPECT_EQ(store.encode_range(key, hi, &count), kv::encode_pairs(want));
-        EXPECT_EQ(count, want.size());
+        const net::SharedBody range = store.range(key, hi);
+        EXPECT_EQ(range.str(), kv::encode_pairs(want));
+        EXPECT_EQ(range.pair_count(), want.size());
       } else {  // the same pairs, inserted in reverse from other buffers
         KvStore copy;
         for (auto it = ref.rbegin(); it != ref.rend(); ++it) {
@@ -294,6 +295,44 @@ TEST(KvStoreTest, ClientKeyNameMatchesSnprintf) {
   }
 }
 
+// --------------------------------------------------------- SignalTable --
+
+TEST(SignalTableTest, MatchesAReferenceThroughEvictionsAndErases) {
+  // Few distinct ids and partitions, so records share probe runs and
+  // repeat; a capacity of 64 makes the bound evict often.
+  constexpr size_t kCap = 64;
+  for (const uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    kv::SignalTable table(kCap);
+    std::map<std::pair<uint64_t, uint32_t>, uint64_t> ref;  // record -> stamp
+    uint64_t stamp = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const uint64_t id = paxos::make_command_id(1 + rng.uniform(3), 1 + rng.uniform(60));
+      const auto partition = static_cast<uint32_t>(rng.uniform(4));
+      if (rng.chance(0.7)) {
+        table.insert(id, partition);
+        if (ref.count({id, partition}) == 0) {
+          if (ref.size() == kCap) {
+            std::erase_if(ref, [&](const auto& r) { return r.second <= stamp - kCap / 2; });
+          }
+          ref[{id, partition}] = ++stamp;
+        }
+      } else {
+        table.erase(id);
+        std::erase_if(ref, [&](const auto& r) { return r.first.first == id; });
+      }
+      ASSERT_EQ(table.size(), ref.size());
+      for (uint32_t p = 0; p < 4; ++p) {
+        ASSERT_EQ(table.contains(id, p), ref.count({id, p}) == 1) << id << " " << p;
+      }
+    }
+    for (const auto& [record, record_stamp] : ref) {
+      EXPECT_TRUE(table.contains(record.first, record.second));
+    }
+  }
+}
+
 // ------------------------------------------------------------ KvReplica --
 
 // Keeps every KV reply addressed to it.
@@ -359,6 +398,23 @@ class KvReplicaTest : public ::testing::Test {
   std::shared_ptr<const std::string> last_payload;
   uint32_t seq_ = 1;
 };
+
+/// `reply` with `content` as an owned string: the form a decoder gives.
+multicast::ReplyMsg owned_reply(const multicast::ReplyMsg& reply, std::string content) {
+  multicast::ReplyMsg owned(reply.command_id, reply.status);
+  owned.shard = reply.shard;
+  owned.payload = std::make_shared<const std::string>(std::move(content));
+  return owned;
+}
+
+std::string hex_of(const net::Message& msg) {
+  std::string out;
+  for (const uint8_t b : net::MessageCodec::instance().encode(msg)) {
+    out += "0123456789abcdef"[b >> 4];
+    out += "0123456789abcdef"[b & 0xf];
+  }
+  return out;
+}
 
 TEST_F(KvReplicaTest, ExecutesOwnedPut) {
   ordered_put("alpha", "1");
@@ -458,11 +514,50 @@ TEST_F(KvReplicaTest, GetRangeReplyHoldsTheIntervalInKeyOrder) {
   ASSERT_EQ(sink->replies.size(), 11u);  // 10 puts, then the getrange
   const multicast::ReplyMsg& reply = sink->reply(10);
   EXPECT_EQ(reply.status, 0u);
-  ASSERT_NE(reply.payload, nullptr);
+  ASSERT_EQ(reply.payload.pair_count(), 4u);
   const std::vector<std::pair<std::string, std::string>> expected = {
       {"key2", "v2"}, {"key3", "v3"}, {"key4", "v4"}, {"key5", "v5"}};
-  EXPECT_EQ(kv::decode_pairs(*reply.payload), expected);
-  EXPECT_EQ(*reply.payload, kv::encode_pairs(expected));
+  EXPECT_EQ(kv::decode_pairs(reply.payload.str()), expected);
+  EXPECT_EQ(reply.payload.str(), kv::encode_pairs(expected));
+  // On the wire it is the reply that owns encode_pairs()' string.
+  EXPECT_EQ(net::MessageCodec::instance().encode(reply),
+            net::MessageCodec::instance().encode(
+                owned_reply(reply, kv::encode_pairs(expected))));
+}
+
+TEST_F(KvReplicaTest, RepliesOutliveTheEntriesTheyWereReadFrom) {
+  // Absorbed values are owned by the store alone, so once it lets go of
+  // them only the replies keep them alive (ASan reports a dangling view).
+  replica->absorb_store(kv::encode_pairs({{"key1", std::string(300, 'a')},
+                                          {"key2", std::string(200, 'b')},
+                                          {"key3", "c"}}),
+                        /*overwrite=*/true);
+  kv::KvOp get;
+  get.kind = OpKind::kGet;
+  get.key = "key2";
+  propose(get.encode());
+  kv::KvOp range;
+  range.kind = OpKind::kGetRange;
+  range.key = "key1";
+  range.end_key = "key3";
+  propose(range.encode());
+  ASSERT_EQ(sink->replies.size(), 2u);
+  const std::string get_wire = hex_of(sink->reply(0));
+  const std::string range_wire = hex_of(sink->reply(1));
+
+  replica->absorb_store(kv::encode_pairs({{"key1", "new"}, {"key2", "new"}}),
+                        /*overwrite=*/true);
+  replica->set_ownership(p1, 0, 0);
+  ASSERT_EQ(replica->purge_unowned(), 3u);
+  ASSERT_EQ(replica->store().size(), 0u);
+
+  EXPECT_EQ(sink->reply(0).payload.flat(), std::string(200, 'b'));
+  EXPECT_EQ(kv::decode_pairs(sink->reply(1).payload.str()),
+            (std::vector<std::pair<std::string, std::string>>{
+                {"key1", std::string(300, 'a')}, {"key2", std::string(200, 'b')}}));
+  EXPECT_EQ(hex_of(sink->reply(0)), get_wire);
+  EXPECT_EQ(hex_of(sink->reply(1)), range_wire);
+  EXPECT_EQ(get_wire, hex_of(owned_reply(sink->reply(0), std::string(200, 'b'))));
 }
 
 TEST_F(KvReplicaTest, AbsorbStorePreservesNewerLocalValues) {
