@@ -35,11 +35,8 @@ Cluster::Cluster(ClusterOptions options)
     // so the timeline can mark subscribes/splits/crashes.
     sim_.set_telemetry_enabled(true);
     sim_.trace().set_annotation_capture(true);
-    registry::MonitorService::Options mopts;
-    mopts.retention = options_.telemetry.retention;
     monitor_ = std::make_unique<registry::MonitorService>(&sim_, &net_,
-                                                          allocate_node_id(), "monitor",
-                                                          mopts);
+                                                          allocate_node_id(), "monitor");
     // The monitor itself is not scraped: its counters describe the
     // telemetry plane and would double every sample into more samples.
   }

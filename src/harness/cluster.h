@@ -73,7 +73,6 @@ struct ClusterOptions {
   struct TelemetryOptions {
     bool enabled = false;
     Tick interval = 100 * kMillisecond;  ///< virtual-time scrape period
-    size_t retention = 512;              ///< ring points kept per series
   };
   TelemetryOptions telemetry;
 };

@@ -2,23 +2,18 @@
 // experiments (Figs. 3 and 5 use 5 threads/stream and 60 threads with
 // 32 KB values respectively).
 //
-// Each simulated thread keeps exactly one command outstanding: propose,
-// wait for the first replica reply, record latency, repeat. A command
-// that is not answered within the retry timeout is re-proposed through
-// the (possibly re-evaluated) route — the mechanism behind the ~1 s
-// re-partitioning gap of Fig. 4.
+// Each thread proposes synthetic commands of a fixed size through the
+// route the config chooses. The loop itself — one command outstanding
+// per thread, latency, think time, and a retry that re-proposes through
+// the (possibly re-evaluated) route, the mechanism behind the ~1 s
+// re-partitioning gap of Fig. 4 — is multicast::ClosedLoopClient.
 #pragma once
 
 #include <functional>
-#include <vector>
+#include <utility>
 
+#include "multicast/closed_loop_client.h"
 #include "multicast/messages.h"
-#include "multicast/retry_queue.h"
-#include "paxos/messages.h"
-#include "paxos/stream_directory.h"
-#include "sim/process.h"
-#include "util/histogram.h"
-#include "util/timeseries.h"
 
 namespace epx::harness {
 
@@ -26,62 +21,35 @@ using net::MessagePtr;
 using net::NodeId;
 using paxos::StreamId;
 
-class LoadClient : public sim::Process {
+class LoadClient : public multicast::ClosedLoopClient {
  public:
-  struct Config {
-    size_t threads = 1;
+  struct Config : ClosedLoopClient::Config {
     uint64_t payload_bytes = 1024;
     /// Chooses the stream for each (re)send. Re-evaluated on retry so
     /// clients follow partition-map changes.
     std::function<StreamId()> route;
-    Tick retry_timeout = 1 * kSecond;
-    Tick think_time = 0;
   };
 
   LoadClient(sim::Simulation* sim, sim::Network* net, NodeId id, std::string name,
-             const paxos::StreamDirectory* directory, Config config);
-
-  /// Starts all threads.
-  void start();
-  /// Stops issuing new commands (outstanding ones are abandoned).
-  void stop();
-
-  // --- metrics ------------------------------------------------------------
-  // Registry-backed: `client.latency{node=}` (timer),
-  // `client.completions{node=}` and `client.retries{node=}` (counters).
-  const Histogram& latency() const { return latency_->total(); }
-  const WindowedCounter& completions() const { return completions_->series(); }
-  /// Windowed latency timer (bounded ring; latency-over-time panels).
-  const obs::Timer& latency_timer() const { return *latency_; }
-  uint64_t completed() const { return completions_->total(); }
-  uint64_t retries() const { return retries_->total(); }
+             const paxos::StreamDirectory* directory, Config config)
+      : ClosedLoopClient(sim, net, id, std::move(name), directory, config),
+        config_(std::move(config)) {}
 
  protected:
-  void on_message(NodeId from, const MessagePtr& msg) override;
+  void prepare(size_t /*thread*/, paxos::Command& cmd) override {
+    cmd.payload_size = config_.payload_bytes;
+  }
+  StreamId route(size_t /*thread*/) override { return config_.route(); }
+
+  void on_message(NodeId /*from*/, const MessagePtr& msg) override {
+    if (msg->type() != net::MsgType::kKvReply) return;
+    const size_t thread =
+        thread_awaiting(static_cast<const multicast::ReplyMsg&>(*msg).command_id);
+    if (thread != kNoThread) complete(thread);
+  }
 
  private:
-  struct ThreadState {
-    paxos::Command cmd;  ///< the outstanding command; retries re-send it
-    Tick sent_at = 0;
-  };
-
-  void issue(size_t thread_index);
-  void send_current(const paxos::Command& cmd);
-
-  const paxos::StreamDirectory* directory_;
   Config config_;
-  bool running_ = false;
-  uint32_t seq_ = 1;
-  std::vector<ThreadState> threads_;
-  /// Per thread, the id of its unanswered command (0: none). Replies
-  /// find their thread by a scan; a late or duplicate one finds none.
-  std::vector<uint64_t> awaiting_;
-  multicast::RetryQueue retry_queue_;
-
-  // Registry-owned handles, labelled {node=<name>}.
-  obs::Timer* latency_;
-  obs::Counter* completions_;
-  obs::Counter* retries_;
 };
 
 }  // namespace epx::harness

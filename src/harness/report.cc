@@ -3,16 +3,10 @@
 #include <cstdio>
 #include <fstream>
 
+#include "util/json.h"
+
 namespace epx::harness {
 namespace {
-
-/// Bounded-size formatted append (all table cells are short).
-template <typename... Args>
-void appendf(std::string* out, const char* fmt, Args... args) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), fmt, args...);
-  *out += buf;
-}
 
 std::string header_text(const std::string& title) {
   return "\n==== " + title + " ====\n";
@@ -20,21 +14,21 @@ std::string header_text(const std::string& title) {
 
 template <typename Column>
 void append_column_headers(std::string* out, const std::vector<Column>& columns) {
-  appendf(out, "%6s", "t(s)");
-  for (const auto& c : columns) appendf(out, " %12s", c.label.c_str());
+  appendf(*out, "%6s", "t(s)");
+  for (const auto& c : columns) appendf(*out, " %12s", c.label.c_str());
   *out += '\n';
 }
 
 /// Cell of a window that aged out of its instrument's ring: unknown,
 /// which is not the same as zero.
 void append_aged_out(std::string* out, bool* any_aged_out) {
-  appendf(out, " %12s", "-");
+  appendf(*out, " %12s", "-");
   *any_aged_out = true;
 }
 
 void append_aged_out_note(std::string* out, bool any_aged_out) {
   if (!any_aged_out) return;
-  appendf(out,
+  appendf(*out,
           "(-: aged out of the newest %zu windows kept in memory; "
           "--telemetry-out records the whole run)\n",
           WindowRing<uint64_t>::kCapacity);
@@ -55,7 +49,7 @@ std::string render_rate_table(const obs::MetricsRegistry& metrics,
   bool aged_out = false;
   for (Tick t = from; t < to; t += kSecond) {
     const auto idx = static_cast<size_t>(t / kSecond);
-    appendf(&out, "%6lld", static_cast<long long>(t / kSecond));
+    appendf(out, "%6lld", static_cast<long long>(t / kSecond));
     for (const auto& c : columns) {
       const obs::Counter* counter = metrics.find_counter(c.metric);
       if (counter != nullptr && idx < counter->series().first_retained()) {
@@ -63,7 +57,7 @@ std::string render_rate_table(const obs::MetricsRegistry& metrics,
         continue;
       }
       const double rate = counter != nullptr ? counter->series().rate_at(idx) : 0.0;
-      appendf(&out, " %12.1f", rate * c.scale);
+      appendf(out, " %12.1f", rate * c.scale);
     }
     out += '\n';
   }
@@ -85,7 +79,7 @@ std::string render_cpu_table(const obs::MetricsRegistry& metrics,
   bool aged_out = false;
   for (Tick t = from; t < to; t += kSecond) {
     const auto idx = static_cast<size_t>(t / kSecond);
-    appendf(&out, "%6lld", static_cast<long long>(t / kSecond));
+    appendf(out, "%6lld", static_cast<long long>(t / kSecond));
     for (const auto& c : columns) {
       const obs::Counter* busy = metrics.find_counter(c.metric);
       if (busy != nullptr && idx < busy->series().first_retained()) {
@@ -97,7 +91,7 @@ std::string render_cpu_table(const obs::MetricsRegistry& metrics,
               ? static_cast<double>(busy->series().total_in(t, t + kSecond)) /
                     static_cast<double>(kSecond) * 100.0
               : 0.0;
-      appendf(&out, " %11.1f%%", util);
+      appendf(out, " %11.1f%%", util);
     }
     out += '\n';
   }
@@ -119,7 +113,7 @@ std::string render_latency_table(const obs::MetricsRegistry& metrics,
   bool aged_out = false;
   for (Tick t = from; t < to; t += kSecond) {
     const auto idx = static_cast<size_t>(t / kSecond);
-    appendf(&out, "%6lld", static_cast<long long>(t / kSecond));
+    appendf(out, "%6lld", static_cast<long long>(t / kSecond));
     for (const auto& c : columns) {
       const obs::Timer* timer = metrics.find_timer(c.metric);
       if (timer != nullptr && idx < timer->first_retained()) {
@@ -132,7 +126,7 @@ std::string render_latency_table(const obs::MetricsRegistry& metrics,
       if (h != nullptr) {
         ms = to_millis(h->quantile(c.quantile));
       }
-      appendf(&out, " %12.2f", ms);
+      appendf(out, " %12.2f", ms);
     }
     out += '\n';
   }
@@ -150,7 +144,7 @@ std::string render_stage_table(const obs::MetricsRegistry& metrics,
                                const std::string& title,
                                const std::vector<StageRow>& rows) {
   std::string out = header_text(title);
-  appendf(&out, "%-22s %12s %12s %12s\n", "stage", "count", "p50(ms)", "p99(ms)");
+  appendf(out, "%-22s %12s %12s %12s\n", "stage", "count", "p50(ms)", "p99(ms)");
   for (const auto& row : rows) {
     const obs::Timer* timer = metrics.find_timer(row.metric);
     uint64_t count = 0;
@@ -161,7 +155,7 @@ std::string render_stage_table(const obs::MetricsRegistry& metrics,
       p50 = to_millis(timer->total().quantile(0.50));
       p99 = to_millis(timer->total().quantile(0.99));
     }
-    appendf(&out, "%-22s %12llu %12.3f %12.3f\n", row.label.c_str(),
+    appendf(out, "%-22s %12llu %12.3f %12.3f\n", row.label.c_str(),
             static_cast<unsigned long long>(count), p50, p99);
   }
   return out;

@@ -12,18 +12,18 @@
 //
 // Two indexes over the same entries. The ordered one owns them and
 // serves every scan (getrange, purge, snapshots, equality). The hash one
-// is a flat open-addressing table of 16-byte {hash, entry} slots keyed by
-// the key's partition hash (util/hash.h key_hash), which the replica
+// is a FlatTable (util/flat_table.h) of 16-byte {hash, entry} slots keyed
+// by the key's partition hash (util/hash.h key_hash), which the replica
 // computes anyway to check ownership and passes in, so an op hashes its
 // key once. A get, or a put to an existing key, is one linear-probe run
 // plus one ordered-index node: no allocation, no tree walk. Only a new
 // key's insert walks the tree.
 //
-// Home slots come from the hash's low bits: a partition owns one
-// contiguous hash range, which fixes the top bits of its keys, never the
-// low ones. The table doubles at load 1/2 and deletes by backward shift,
-// so it has no tombstones. It is never iterated: the ordered index is
-// the only one anything walks (epx-lint R2).
+// A partition owns one contiguous hash range, which fixes the top bits
+// of its keys' hashes. Their home slots still spread: the table takes
+// them from the top bits of the Fibonacci product hash * 2^64/phi,
+// which depend on every bit of the hash. The table is never iterated:
+// the ordered index is the only one anything walks (epx-lint R2).
 #pragma once
 
 #include <cstdint>
@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "net/wire.h"
+#include "util/flat_table.h"
 #include "util/hash.h"
 
 namespace epx::kv {
@@ -51,7 +52,7 @@ class KvStore {
   };
   using Ordered = std::map<std::string, Value, std::less<>>;
 
-  KvStore() : slots_(kMinSlots) {}
+  KvStore() = default;
   // The hash index points into this object's ordered index.
   KvStore(const KvStore&) = delete;
   KvStore& operator=(const KvStore&) = delete;
@@ -75,7 +76,9 @@ class KvStore {
     size_t erased = 0;
     for (auto it = ordered_.begin(); it != ordered_.end();) {
       if (pred(std::string_view(it->first))) {
-        unindex(&*it);
+        const Entry* entry = &*it;
+        const auto same_entry = [entry](const Slot& s) { return s.entry == entry; };
+        index_.erase(index_.find(entry->second.hash, same_entry));
         it = ordered_.erase(it);
         ++erased;
       } else {
@@ -101,21 +104,14 @@ class KvStore {
  private:
   using Entry = Ordered::value_type;
   struct Slot {
-    uint64_t hash = 0;
+    uint64_t key_hash = 0;
     Entry* entry = nullptr;  ///< nullptr: the slot is empty
+    bool empty() const { return entry == nullptr; }
+    uint64_t hash() const { return key_hash; }
   };
 
-  static constexpr size_t kMinSlots = 16;
-
-  /// Slot holding `key`, or the empty slot that ends its probe run.
-  size_t find(std::string_view key, uint64_t hash) const;
-  /// Frees `entry`'s slot and shifts later members of its probe run
-  /// back, so every live entry stays reachable from its home slot.
-  void unindex(const Entry* entry);
-  void grow();
-
   Ordered ordered_;
-  std::vector<Slot> slots_;  ///< power-of-two size, at most half full
+  FlatTable<Slot> index_;  ///< never iterated
 };
 
 }  // namespace epx::kv

@@ -1,7 +1,8 @@
 #include "obs/flight_recorder.h"
 
-#include <cstdarg>
 #include <cstdio>
+
+#include "util/json.h"
 
 namespace epx::obs {
 
@@ -10,34 +11,12 @@ namespace {
 /// Trailing trace-ring events kept in a dump.
 constexpr size_t kMaxTraceEvents = 512;
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-}
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out.append(buf, static_cast<size_t>(n) < sizeof(buf) ? static_cast<size_t>(n) : sizeof(buf) - 1);
-}
-
 }  // namespace
 
 std::string FlightRecorder::dump(const std::string& reason, Tick now) {
   ++dumps_;
   std::string out = "{\n\"reason\": \"";
-  append_escaped(out, reason);
+  append_json_escaped(out, reason);
   appendf(out, "\",\n\"sim_time_ns\": %lld,\n\"dump_seq\": %llu,\n",
           static_cast<long long>(now), static_cast<unsigned long long>(dumps_));
 
@@ -60,7 +39,7 @@ std::string FlightRecorder::dump(const std::string& reason, Tick now) {
                 static_cast<long long>(ev.last_time));
       }
       out += "\"detail\": \"";
-      append_escaped(out, ev.detail);
+      append_json_escaped(out, ev.detail);
       out += "\"}";
     }
   }
@@ -72,7 +51,7 @@ std::string FlightRecorder::dump(const std::string& reason, Tick now) {
     for (const auto& [key, gauge] : metrics_->gauges()) {
       if (key.rfind("inbox.depth", 0) != 0) continue;
       appendf(out, "%s\n\"", first ? "" : ",");
-      append_escaped(out, key);
+      append_json_escaped(out, key);
       appendf(out, "\": {\"value\": %.0f, \"max\": %.0f}", gauge->value(), gauge->max());
       first = false;
     }
@@ -89,7 +68,7 @@ std::string FlightRecorder::dump(const std::string& reason, Tick now) {
       for (const auto& [node, s] : by_node) {
         appendf(out, "%s\n{\"key\": \"", first_series ? "" : ",");
         first_series = false;
-        append_escaped(out, key);
+        append_json_escaped(out, key);
         appendf(out, "\", \"node\": %u, \"kind\": \"%s\", \"points\": [", node,
                 point_kind_name(s.kind));
         const size_t start = s.points.size() > max_telemetry_windows_

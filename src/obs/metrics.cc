@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/json.h"
+
 namespace epx::obs {
 
 std::string metric_key(std::string_view name, Labels labels) {
@@ -68,19 +70,6 @@ const Timer* MetricsRegistry::find_timer(std::string_view key) const {
 
 namespace {
 
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
 void append_double(std::string& out, double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -100,9 +89,9 @@ std::string MetricsRegistry::to_json(bool include_series) const {
   };
   for (const auto& [key, c] : counters_) {
     sep();
-    out += "  ";
-    append_json_string(out, key);
-    out += ": {\"type\": \"counter\", \"total\": ";
+    out += "  \"";
+    append_json_escaped(out, key);
+    out += "\": {\"type\": \"counter\", \"total\": ";
     out += std::to_string(c->total());
     if (include_series && c->series().size() > 0) {
       // Only retained windows; runs past the ring's reach say where the
@@ -123,9 +112,9 @@ std::string MetricsRegistry::to_json(bool include_series) const {
   }
   for (const auto& [key, g] : gauges_) {
     sep();
-    out += "  ";
-    append_json_string(out, key);
-    out += ": {\"type\": \"gauge\", \"value\": ";
+    out += "  \"";
+    append_json_escaped(out, key);
+    out += "\": {\"type\": \"gauge\", \"value\": ";
     append_double(out, g->value());
     out += ", \"max\": ";
     append_double(out, g->max());
@@ -133,9 +122,9 @@ std::string MetricsRegistry::to_json(bool include_series) const {
   }
   for (const auto& [key, t] : timers_) {
     sep();
-    out += "  ";
-    append_json_string(out, key);
-    out += ": {\"type\": \"timer\", \"count\": ";
+    out += "  \"";
+    append_json_escaped(out, key);
+    out += "\": {\"type\": \"timer\", \"count\": ";
     out += std::to_string(t->total().count());
     out += ", \"mean_ms\": ";
     append_double(out, to_millis(static_cast<Tick>(t->total().mean())));

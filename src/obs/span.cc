@@ -1,8 +1,9 @@
 #include "obs/span.h"
 
-#include <cstdarg>
 #include <cstdio>
 #include <optional>
+
+#include "util/json.h"
 
 namespace epx::obs {
 
@@ -82,28 +83,6 @@ std::optional<Interval> stage_interval(const StageRow& row, const SpanRecord& re
   const SpanEvent* open = latest_before(rec, i, row.from, row.same_node, ev.node);
   if (open == nullptr) return std::nullopt;
   return Interval{open->time, ev.time - open->time};
-}
-
-// printf-append onto a std::string.
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out.append(buf, static_cast<size_t>(n) < sizeof(buf) ? static_cast<size_t>(n) : sizeof(buf) - 1);
-}
-
-void append_json_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
 }
 
 double to_us(Tick t) { return static_cast<double>(t) / 1000.0; }

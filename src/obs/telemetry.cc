@@ -1,9 +1,9 @@
 #include "obs/telemetry.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 #include <tuple>
+
+#include "util/json.h"
 
 namespace epx::obs {
 
@@ -25,28 +25,6 @@ double slot(const TelemetryPoint& p, int field) {
     case 2: return p.v2;
     default: return p.v3;
   }
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-}
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[320];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out.append(buf, static_cast<size_t>(n) < sizeof(buf) ? static_cast<size_t>(n) : sizeof(buf) - 1);
 }
 
 /// Shortest-exact double rendering: %.12g keeps every value the sim can
@@ -386,7 +364,7 @@ std::string render_timeline_json(const TimeSeriesStore& store,
             trace_kind_name(ev.kind), ev.node, ev.stream,
             static_cast<unsigned long long>(ev.a),
             static_cast<unsigned long long>(ev.b));
-    append_escaped(out, ev.detail);
+    append_json_escaped(out, ev.detail);
     out += "\"}";
   }
   out += annotations.empty() ? "],\n" : "\n],\n";
@@ -397,7 +375,7 @@ std::string render_timeline_json(const TimeSeriesStore& store,
     for (const auto& [node, s] : by_node) {
       appendf(out, "%s\n{\"key\": \"", first_series ? "" : ",");
       first_series = false;
-      append_escaped(out, key);
+      append_json_escaped(out, key);
       appendf(out, "\", \"node\": %u, \"kind\": \"%s\", \"downsample_runs\": %llu, \"points\": [",
               node, point_kind_name(s.kind),
               static_cast<unsigned long long>(s.downsample_runs));
@@ -423,9 +401,9 @@ std::string render_timeline_json(const TimeSeriesStore& store,
     for (size_t i = 0; i < slo->rules().size(); ++i) {
       const SloRule& r = slo->rules()[i];
       appendf(out, "%s\n{\"id\": \"", i == 0 ? "" : ",");
-      append_escaped(out, r.id);
+      append_json_escaped(out, r.id);
       out += "\", \"metric\": \"";
-      append_escaped(out, r.metric);
+      append_json_escaped(out, r.metric);
       appendf(out, "\", \"field\": %d, \"op\": \"%s\", \"threshold\": ", r.field,
               r.op == SloRule::Op::kGt ? "gt" : "lt");
       append_double(out, r.threshold);
@@ -440,9 +418,9 @@ std::string render_timeline_json(const TimeSeriesStore& store,
       const SloViolation& v = slo->violations()[i];
       appendf(out, "%s\n{\"time_ns\": %lld, \"rule\": \"", i == 0 ? "" : ",",
               static_cast<long long>(v.time));
-      append_escaped(out, v.rule);
+      append_json_escaped(out, v.rule);
       out += "\", \"key\": \"";
-      append_escaped(out, v.key);
+      append_json_escaped(out, v.key);
       appendf(out, "\", \"node\": %u, \"value\": ", v.node);
       append_double(out, v.value);
       out += "}";

@@ -4,14 +4,23 @@
 
 namespace epx::registry {
 
-MonitorService::MonitorService(sim::Simulation* sim, sim::Network* net, NodeId id,
-                               std::string name)
-    : MonitorService(sim, net, id, std::move(name), Options()) {}
+namespace {
+
+constexpr size_t kRetention = 512;   ///< ring points kept per series
+constexpr size_t kDumpWindows = 32;  ///< telemetry windows per flight dump
+/// Monitor CPU per ingested sample, plus per point.
+constexpr Tick kCpuPerSample = 2 * kMicrosecond;
+constexpr Tick kCpuPerPoint = 200;
+/// Agent CPU per scrape, plus per scraped point.
+constexpr Tick kAgentCpuPerScrape = 2 * kMicrosecond;
+constexpr Tick kAgentCpuPerPoint = 100;
+
+}  // namespace
 
 MonitorService::MonitorService(sim::Simulation* sim, sim::Network* net, NodeId id,
-                               std::string name, Options options)
-    : Process(sim, net, id, std::move(name)), options_(options) {
-  store_.set_retention(options_.retention);
+                               std::string name)
+    : Process(sim, net, id, std::move(name)) {
+  store_.set_retention(kRetention);
   const obs::Labels labels{{"node", this->name()}};
   samples_ = &metrics().counter("telemetry.samples", labels);
   points_ = &metrics().counter("telemetry.points", labels);
@@ -20,15 +29,14 @@ MonitorService::MonitorService(sim::Simulation* sim, sim::Network* net, NodeId i
   // Arm the flight recorder with the windowed history: a dump taken for
   // any reason (SLO breach here, monitor violation elsewhere) carries
   // the last N telemetry windows alongside the event ring.
-  sim->flight_recorder().bind_telemetry(&store_, options_.dump_windows);
+  sim->flight_recorder().bind_telemetry(&store_, kDumpWindows);
 }
 
 void MonitorService::on_message(NodeId /*from*/, const net::MessagePtr& msg) {
   switch (msg->type()) {
     case net::MsgType::kTelemetrySample: {
       const auto& sample_msg = static_cast<const TelemetrySampleMsg&>(*msg);
-      charge(options_.cpu_per_sample +
-             options_.cpu_per_point * static_cast<Tick>(sample_msg.points.size()));
+      charge(kCpuPerSample + kCpuPerPoint * static_cast<Tick>(sample_msg.points.size()));
       // Feed the decoded message's points straight through; copying them
       // into a TelemetrySample first costs a vector of interned-key
       // increfs per window on the hot path.
@@ -93,8 +101,8 @@ void TelemetryAgent::tick() {
   msg->window_start = window_start_;
   msg->window_end = host_->now();
   msg->points = set->scrape();
-  host_->charge(options_.cpu_base +
-                options_.cpu_per_point * static_cast<Tick>(msg->points.size()));
+  host_->charge(kAgentCpuPerScrape +
+                kAgentCpuPerPoint * static_cast<Tick>(msg->points.size()));
   host_->send(options_.collector, std::move(msg));
   window_start_ = host_->now();
   host_->after(options_.interval, [this, gen = gen_] {

@@ -35,19 +35,7 @@ namespace epx::registry {
 
 class MonitorService : public sim::Process {
  public:
-  struct Options {
-    size_t retention = 512;          ///< ring points kept per series
-    size_t dump_windows = 32;        ///< telemetry windows per flight dump
-    Tick cpu_per_sample = 2 * kMicrosecond;
-    Tick cpu_per_point = 200;        ///< ns of monitor CPU per ingested point
-  };
-
-  // Two overloads instead of `Options options = {}`: a default argument
-  // cannot use Options' member initializers before the enclosing class
-  // is complete.
   MonitorService(sim::Simulation* sim, sim::Network* net, NodeId id, std::string name);
-  MonitorService(sim::Simulation* sim, sim::Network* net, NodeId id, std::string name,
-                 Options options);
 
   obs::TimeSeriesStore& store() { return store_; }
   const obs::TimeSeriesStore& store() const { return store_; }
@@ -67,7 +55,6 @@ class MonitorService : public sim::Process {
  private:
   void on_violation(const obs::SloViolation& v);
 
-  Options options_;
   obs::TimeSeriesStore store_;
   obs::SloEngine slo_;
   std::string pending_dump_reason_;  ///< first deferred violation, if any
@@ -87,8 +74,6 @@ class TelemetryAgent {
   struct Options {
     Tick interval = 100 * kMillisecond;  ///< virtual-time scrape period
     NodeId collector = net::kInvalidNode;
-    Tick cpu_base = 2 * kMicrosecond;  ///< agent CPU per scrape
-    Tick cpu_per_point = 100;          ///< plus this many ns per point
   };
 
   TelemetryAgent(sim::Process* host, Options options)

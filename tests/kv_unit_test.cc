@@ -121,16 +121,17 @@ size_t index_of(std::string_view key) { return std::stoull(std::string(key.subst
 // keys keep their real hash, a quarter start at the last slot of any
 // table up to 2^16 slots (their probe runs wrap past the end), a quarter
 // start at slot 0, and the last quarter share the whole 64-bit hash of
-// the wrapping key two indexes below.
+// the wrapping key two indexes below. Home slots are the top bits of the
+// hash's Fibonacci product, so the hashes are chosen by their product.
 uint64_t clumped_hash(size_t index) {
   const uint64_t real = key_hash(test_key(index));
   switch (index % 4) {
     case 0:
       return real;
     case 1:
-      return (real << 16) | 0xffff;
+      return testing::hash_with_product(real | uint64_t{0xffff} << 48);
     case 2:
-      return real & ~uint64_t{0xffff};
+      return testing::hash_with_product(real >> 16);
     default:
       return clumped_hash(index - 2);
   }
@@ -255,20 +256,25 @@ TEST(KvStoreTest, DistinctKeysWithOneHashStayDistinct) {
 }
 
 TEST(KvStoreTest, WrappedProbeRunShiftsBackOnErase) {
-  // Hashes ending in 0xf start at the last slot of a 16-slot table, so
-  // the run wraps to slots 0, 1, ...; "home0" starts at slot 0 behind it.
+  // Hashes whose Fibonacci product starts with 0xf start at the last
+  // slot of a 16-slot table, so the run wraps to slots 0, 1, ...;
+  // "home0" starts at slot 0 behind it.
   KvStore store;
   const Put v = make_put("v");
+  const auto wrapped_hash = [](uint64_t i) {
+    return testing::hash_with_product(uint64_t{0xf} << 60 | i << 8);
+  };
+  const uint64_t home0_hash = testing::hash_with_product(0x100000);
   const char* const wrapped[] = {"w0", "w1", "w2", "w3", "w4"};
-  for (uint64_t i = 0; i < 5; ++i) store.put(wrapped[i], 0xf | i << 8, v.bytes, v.owner);
-  store.put("home0", 0x100000, v.bytes, v.owner);
+  for (uint64_t i = 0; i < 5; ++i) store.put(wrapped[i], wrapped_hash(i), v.bytes, v.owner);
+  store.put("home0", home0_hash, v.bytes, v.owner);
   EXPECT_EQ(store.erase_if([](std::string_view k) { return k == "w0" || k == "w2"; }), 2u);
-  EXPECT_FALSE(store.get("w0", 0xf));
-  EXPECT_FALSE(store.get("w2", 0xf | 2 << 8));
-  EXPECT_EQ(store.get("w1", 0xf | 1 << 8), "v");
-  EXPECT_EQ(store.get("w3", 0xf | 3 << 8), "v");
-  EXPECT_EQ(store.get("w4", 0xf | 4 << 8), "v");
-  EXPECT_EQ(store.get("home0", 0x100000), "v");
+  EXPECT_FALSE(store.get("w0", wrapped_hash(0)));
+  EXPECT_FALSE(store.get("w2", wrapped_hash(2)));
+  EXPECT_EQ(store.get("w1", wrapped_hash(1)), "v");
+  EXPECT_EQ(store.get("w3", wrapped_hash(3)), "v");
+  EXPECT_EQ(store.get("w4", wrapped_hash(4)), "v");
+  EXPECT_EQ(store.get("home0", home0_hash), "v");
   EXPECT_EQ(store.size(), 4u);
 }
 

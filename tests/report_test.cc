@@ -15,6 +15,7 @@
 #include "harness/load_client.h"
 #include "harness/report.h"
 #include "obs/flight_recorder.h"
+#include "obs/span.h"
 #include "obs/telemetry.h"
 
 namespace epx {
@@ -310,6 +311,43 @@ TEST(ReportTest, FlightDumpCarriesTrailingTelemetryWindows) {
   // schema stable for consumers.
   obs::FlightRecorder bare(&metrics, &trace);
   EXPECT_NE(bare.dump("r", 1).find("\"telemetry\": {\"series\": []}"),
+            std::string::npos);
+}
+
+// Every exporter writes a string one way (util/json.h): `"` and `\`
+// escaped, a newline as \n, other control characters dropped. The same
+// string enters as a label value, a series key, a trace-ring detail and
+// a dump reason.
+TEST(ReportTest, ExportersEscapeStringsAlike) {
+  const std::string raw = "q\"b\\s\nt\tz";
+  const std::string escaped = "q\\\"b\\\\s\\ntz";
+  ASSERT_EQ(escaped.size(), 11u);
+
+  obs::MetricsRegistry metrics;
+  metrics.counter("odd", {{"l", raw}}).add(0);
+  EXPECT_NE(metrics.to_json().find("\"odd{l=" + escaped + "}\": {"), std::string::npos);
+
+  obs::TelemetrySample sample = telemetry_sample(7, 1, 100 * kMillisecond);
+  sample.points[0].key = obs::intern_key(raw);
+  obs::TimeSeriesStore store;
+  store.ingest(sample);
+  obs::TraceEvent ev;
+  ev.kind = obs::TraceKind::kCrash;
+  raw.copy(ev.detail, sizeof(ev.detail) - 1);
+  const std::string timeline = obs::render_timeline_json(
+      store, {ev}, nullptr, /*end=*/1 * kSecond, /*interval=*/100 * kMillisecond);
+  EXPECT_NE(timeline.find("\"key\": \"" + escaped + "\""), std::string::npos);
+  EXPECT_NE(timeline.find("\"detail\": \"" + escaped + "\""), std::string::npos);
+
+  obs::Trace ring;
+  ring.record(1, obs::TraceKind::kCrash, 3, 0, 0, 0, raw);
+  obs::FlightRecorder recorder(&metrics, &ring);
+  const std::string dump = recorder.dump(raw, 2);
+  EXPECT_NE(dump.find("\"reason\": \"" + escaped + "\""), std::string::npos);
+  EXPECT_NE(dump.find("\"detail\": \"" + escaped + "\""), std::string::npos);
+
+  obs::SpanCollector spans;
+  EXPECT_NE(spans.chrome_trace_json(&ring).find("\"detail\":\"" + escaped + "\""),
             std::string::npos);
 }
 

@@ -8,6 +8,7 @@
 
 #include "harness/cluster.h"
 #include "harness/load_client.h"
+#include "util/flat_table.h"
 #include "util/logging.h"
 
 namespace epx::testing {
@@ -20,6 +21,15 @@ inline std::string numbered(std::string_view prefix, uint64_t n) {
   const size_t len = prefix.copy(buf, 24);
   const auto conv = std::to_chars(buf + len, buf + sizeof(buf), n);
   return {buf, conv.ptr};
+}
+
+/// The hash whose Fibonacci product (util/flat_table.h) is `product`,
+/// so its home slot in a FlatTable of 2^k slots is the top k bits of
+/// `product`. The multiplier is odd, so it has an inverse mod 2^64.
+constexpr uint64_t hash_with_product(uint64_t product) {
+  uint64_t inverse = kFibonacciMultiplier;  // right in 3 bits: odd squares are 1 mod 8
+  for (int i = 0; i < 5; ++i) inverse *= 2 - kFibonacciMultiplier * inverse;  // Newton
+  return product * inverse;
 }
 
 /// Quiet logs by default; set EPX_TEST_LOG=debug for troubleshooting.

@@ -1,15 +1,18 @@
 // Unit tests for the utility layer: RNG, histogram, time series, status,
-// hashing, the id window and unit formatting.
+// hashing, the flat hash table, the id window and unit formatting.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "tests/test_util.h"
+#include "util/flat_table.h"
 #include "util/hash.h"
 #include "util/histogram.h"
 #include "util/id_window.h"
@@ -604,6 +607,94 @@ TEST(IdWindowTest, TtlExpiryMatchesReference) {
     }
     EXPECT_GT(expired, 0u);
     expect_same_contents(w, ref);
+  }
+}
+
+// ---------------------------------------------------------- FlatTable --
+
+/// One entry: `id` names it (0: the slot is empty), `hash` places it.
+struct Item {
+  uint64_t h = 0;
+  uint32_t id = 0;
+  uint32_t value = 0;
+  bool empty() const { return id == 0; }
+  uint64_t hash() const { return h; }
+};
+
+/// Chosen placements for entry `id`, in any table of up to 2^16 slots:
+/// a quarter have a mixed hash, a quarter start at the last slot (their
+/// probe runs wrap past the end), a quarter start at slot 0, behind the
+/// wrapped runs, and the last quarter share the whole 64-bit hash of the
+/// wrapping entry two ids below.
+uint64_t placed_hash(uint32_t id) {
+  const uint64_t mixed = mix64(id);
+  switch (id % 4) {
+    case 0:
+      return mixed;
+    case 1:
+      return testing::hash_with_product(mixed | uint64_t{0xffff} << 48);
+    case 2:
+      return testing::hash_with_product(mixed >> 16);
+    default:
+      return placed_hash(id - 2);
+  }
+}
+
+TEST(FlatTableTest, MatchesAMapReferenceAcrossGrowth) {
+  // The placements hold only if hash_with_product inverts the multiplier.
+  for (const uint64_t p : {uint64_t{0xffff} << 48 | 1, uint64_t{0xffff} >> 1}) {
+    ASSERT_EQ(testing::hash_with_product(p) * kFibonacciMultiplier, p);
+  }
+  constexpr uint32_t kUniverse = 3000;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    FlatTable<Item> table;
+    std::map<uint32_t, uint32_t> ref;  // id -> value
+    const auto lookup = [&table](uint32_t id) {
+      return table.find(placed_hash(id), [id](const Item& it) { return it.id == id; });
+    };
+    const auto expect_same = [&] {
+      ASSERT_EQ(table.size(), ref.size());
+      for (uint32_t id = 1; id <= kUniverse; ++id) {
+        const Item* got = lookup(id);
+        const auto want = ref.find(id);
+        ASSERT_EQ(got != nullptr, want != ref.end()) << id;
+        if (got != nullptr) {
+          ASSERT_EQ(got->id, id);
+          ASSERT_EQ(got->value, want->second) << id;
+        }
+      }
+    };
+    for (int step = 1; step <= 30000; ++step) {
+      if (step % 10000 == 0) {  // start over, to grow from the smallest table again
+        expect_same();
+        table = FlatTable<Item>();
+        ref.clear();
+      }
+      const auto id = static_cast<uint32_t>(1 + rng.uniform(kUniverse));
+      const uint64_t dice = rng.uniform(1000);
+      Item* hit = lookup(id);
+      ASSERT_EQ(hit != nullptr, ref.count(id) == 1) << id;
+      if (dice < 600) {  // insert, or update in place
+        const auto value = static_cast<uint32_t>(rng.next());
+        if (hit != nullptr) {
+          hit->value = value;
+        } else {
+          table.insert(Item{placed_hash(id), id, value});
+        }
+        ref[id] = value;
+      } else if (dice < 995) {
+        if (hit != nullptr) table.erase(hit);
+        ref.erase(id);
+      } else {  // keep one residue class of the values
+        const uint32_t m = 2 + static_cast<uint32_t>(rng.uniform(3));
+        const auto keep = [m](uint32_t value) { return value % m != 0; };
+        table.retain([&](const Item& it) { return keep(it.value); });
+        std::erase_if(ref, [&](const auto& entry) { return !keep(entry.second); });
+      }
+      if (step % 997 == 0) expect_same();
+    }
   }
 }
 
